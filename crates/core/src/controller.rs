@@ -43,6 +43,105 @@ pub struct ControllerStats {
     pub woken_and_left: u64,
 }
 
+/// One controller cycle's input to [`decide_and_publish`]: what the load
+/// source sampled plus the policy parameters.  [`LoadControl::run_cycle`]
+/// fills it from its [`LoadSampler`]; the fleet controller of `lc-shm` from
+/// the runnable counts its member processes publish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleInput {
+    /// Runnable threads the load source counted this cycle.
+    pub runnable: usize,
+    /// Hardware contexts the policy budgets for.
+    pub capacity: usize,
+    /// Overload headroom handed to the policy.
+    pub headroom: usize,
+    /// The controller's cycle interval.
+    pub interval: Duration,
+    /// The controller's counters as of this cycle.
+    pub stats: ControllerStats,
+}
+
+/// The decision half of a controller cycle — inputs, policy, split,
+/// publication, wake — shared by the in-process controller
+/// ([`LoadControl::run_cycle`]) and the fleet controller of `lc-shm`, which
+/// differ only in where their load sample comes from.
+///
+/// Demand is the sampled runnable count plus the book's outstanding claims;
+/// the policy sees the wait-histogram window recorded since `last_wait`
+/// (which is advanced to now).  The target, capped at the book's requested
+/// capacity, is split across the active shards and published only when it
+/// changed — or every cycle while a rebalancing splitter holds a non-zero
+/// target — and publication wakes whatever each shard no longer wants.
+/// Returns the target decided.
+pub fn decide_and_publish(
+    buffer: &SleepSlotBuffer,
+    policy: &mut dyn ControlPolicy,
+    splitter: &mut dyn TargetSplitter,
+    last_wait: &mut WaitSnapshot,
+    input: CycleInput,
+) -> u64 {
+    // Demand = runnable threads plus the ones currently asleep in the
+    // slot buffer; using total demand keeps the target stable instead
+    // of mass-waking sleepers whenever runnable load dips briefly.
+    let load = input.runnable + buffer.sleepers() as usize;
+    // The wait observation handed to the policy is this cycle's *delta*
+    // window: episodes recorded since the previous decision.
+    let wait = {
+        let snapshot = buffer.wait_snapshot();
+        let delta = snapshot.since(last_wait);
+        *last_wait = snapshot;
+        delta.observation()
+    };
+    let inputs = PolicyInputs {
+        load,
+        capacity: input.capacity,
+        headroom: input.headroom,
+        current_target: buffer.target(),
+        stats: input.stats,
+        wait,
+        interval: input.interval,
+    };
+    let target = policy.target(&inputs).min(buffer.requested_capacity());
+    // Publish only on change: re-publishing the value we just read would
+    // turn this cycle into a read-modify-write that can silently revert a
+    // concurrent `set_sleep_target` (the externally steered
+    // `FixedPolicy::manual` setup), and a policy that holds the target
+    // steady must behave like the old skip-entirely manual mode.
+    // A splitter that `rebalances()` opts out of the skip while the
+    // target is non-zero: it re-partitions the *same* total every cycle
+    // (so per-shard shares track claim traffic), which preserves the
+    // externally steered total up to that same benign race.
+    let changed = target != inputs.current_target;
+    if changed || (target > 0 && splitter.rebalances()) {
+        let shard_capacity = buffer.shard_capacity() as u64;
+        // A node topology exposes which NUMA group each active shard
+        // serves; a group-aware splitter (load-weighted) uses it to
+        // keep each node's share proportional to node-local load.
+        if let Some(groups) = buffer.shard_map().shard_groups(buffer.shard_count()) {
+            splitter.observe_shard_groups(&groups);
+        }
+        let mut split = splitter.split(target, &buffer.shard_snapshots(), shard_capacity);
+        // A custom splitter returning the wrong number of shares
+        // must degrade (to the even split), not panic the daemon
+        // thread — a dead controller strands every parked sleeper
+        // until its timeout and silently disables load control.
+        if split.len() != buffer.shard_count() {
+            split = even_split(target, buffer.shard_count(), shard_capacity);
+        }
+        if changed {
+            buffer.set_shard_targets(&split);
+        } else {
+            // Rebalance of an *unchanged* total: publish only if no
+            // external `set_sleep_target` landed since this cycle
+            // read the target, so a steered value is never clobbered
+            // by the repartition of a stale total (the rebalance
+            // simply waits for the next cycle).
+            let _ = buffer.set_shard_targets_if(&split, target);
+        }
+    }
+    target
+}
+
 /// The controller's live-reshard bookkeeping: per-shard claim-race counters
 /// as of the previous cycle plus the grow/shrink streak lengths the
 /// [`ReshardPolicy`] thresholds compare against.
@@ -566,78 +665,23 @@ impl LoadControl {
         self.shared
             .last_runnable
             .store(sample.runnable, Ordering::Relaxed);
-        // Demand = runnable threads plus the ones currently asleep in the
-        // slot buffer; using total demand keeps the target stable instead
-        // of mass-waking sleepers whenever runnable load dips briefly.
-        let load = sample.runnable + self.shared.buffer.sleepers() as usize;
-        // The wait observation handed to the policy is this cycle's *delta*
-        // window: episodes recorded since the previous decision.
-        let wait = {
-            let snapshot = self.shared.buffer.wait_snapshot();
-            let mut last = self.shared.last_wait.lock().unwrap();
-            let delta = snapshot.since(&last);
-            *last = snapshot;
-            delta.observation()
-        };
-        let inputs = PolicyInputs {
-            load,
-            capacity: self.shared.config.capacity,
-            headroom: self.shared.config.overload_headroom,
-            current_target: self.shared.buffer.target(),
-            stats: self.stats(),
-            wait,
-            interval: self.shared.config.update_interval,
-        };
-        let target = self.shared.policy.lock().unwrap().target(&inputs);
-        let target = target.min(self.shared.config.max_sleepers as u64);
-        // Publish only on change: re-publishing the value we just read would
-        // turn this cycle into a read-modify-write that can silently revert a
-        // concurrent `set_sleep_target` (the externally steered
-        // `FixedPolicy::manual` setup), and a policy that holds the target
-        // steady must behave like the old skip-entirely manual mode.
-        // A splitter that `rebalances()` opts out of the skip while the
-        // target is non-zero: it re-partitions the *same* total every cycle
-        // (so per-shard shares track claim traffic), which preserves the
-        // externally steered total up to that same benign race.
         {
+            let mut policy = self.shared.policy.lock().unwrap();
             let mut splitter = self.shared.splitter.lock().unwrap();
-            let changed = target != inputs.current_target;
-            if changed || (target > 0 && splitter.rebalances()) {
-                let shard_capacity = self.shared.buffer.shard_capacity() as u64;
-                // A node topology exposes which NUMA group each active shard
-                // serves; a group-aware splitter (load-weighted) uses it to
-                // keep each node's share proportional to node-local load.
-                if let Some(groups) = self
-                    .shared
-                    .buffer
-                    .shard_map()
-                    .shard_groups(self.shared.buffer.shard_count())
-                {
-                    splitter.observe_shard_groups(&groups);
-                }
-                let mut split = splitter.split(
-                    target,
-                    &self.shared.buffer.shard_snapshots(),
-                    shard_capacity,
-                );
-                // A custom splitter returning the wrong number of shares
-                // must degrade (to the even split), not panic the daemon
-                // thread — a dead controller strands every parked sleeper
-                // until its timeout and silently disables load control.
-                if split.len() != self.shared.buffer.shard_count() {
-                    split = even_split(target, self.shared.buffer.shard_count(), shard_capacity);
-                }
-                if changed {
-                    self.shared.buffer.set_shard_targets(&split);
-                } else {
-                    // Rebalance of an *unchanged* total: publish only if no
-                    // external `set_sleep_target` landed since this cycle
-                    // read the target, so a steered value is never clobbered
-                    // by the repartition of a stale total (the rebalance
-                    // simply waits for the next cycle).
-                    let _ = self.shared.buffer.set_shard_targets_if(&split, target);
-                }
-            }
+            let mut last_wait = self.shared.last_wait.lock().unwrap();
+            decide_and_publish(
+                &self.shared.buffer,
+                &mut **policy,
+                &mut **splitter,
+                &mut last_wait,
+                CycleInput {
+                    runnable: sample.runnable,
+                    capacity: self.shared.config.capacity,
+                    headroom: self.shared.config.overload_headroom,
+                    interval: self.shared.config.update_interval,
+                    stats: self.stats(),
+                },
+            );
         }
         // Live reshard: widen the active shard set under sustained claim
         // races, narrow it when the claim path goes quiet.

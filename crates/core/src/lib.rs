@@ -114,7 +114,9 @@ pub mod topology;
 
 pub use async_gate::{AsyncLoadGate, AsyncSpinHook};
 pub use config::{ClaimBackoff, LoadControlConfig, ReshardPolicy, WakeOrder};
-pub use controller::{ControllerStats, LoadControl, LoadControlBuilder};
+pub use controller::{
+    decide_and_publish, ControllerStats, CycleInput, LoadControl, LoadControlBuilder,
+};
 pub use lc_condvar::LcCondvar;
 pub use lc_lock::{LcLock, LcMutex, LcMutexAsyncGuard, LcMutexGuard, TpLcLock};
 pub use lc_rwlock::{LcRwLock, LcRwLockReadGuard, LcRwLockWriteGuard};
@@ -125,13 +127,15 @@ pub use policy::{
     HysteresisPolicy, LatencyPolicy, LoadWeightedSplitter, PaperPolicy, PidPolicy, PolicyInputs,
     TargetSplitter, POLICY_SPECS, SPLITTER_SPECS,
 };
-pub use slots::{ClaimOutcome, ShardSnapshot, SleepSlotBuffer, SleeperId, SlotBufferStats};
+pub use slots::{
+    BookLayout, ClaimOutcome, ShardSnapshot, SleepSlotBuffer, SleeperId, SlotBufferStats, WordStore,
+};
 pub use spec::{LoadControlSpec, ParsedSpec, SpecError};
 pub use spin_hook::SpinHook;
 pub use thread_ctx::{LoadControlPolicy, LoadGate, WorkerRegistration};
 pub use time::{
-    ParkOps, RealClock, SlotHost, SlotWait, ThreadPark, TimeSource, VirtualClock, WaitOutcome,
-    WaitPoll,
+    ParkOps, RealClock, SleeperWake, SlotHost, SlotWait, ThreadPark, TimeSource, VirtualClock,
+    WaitOutcome, WaitPoll,
 };
 pub use topology::{
     build_topology_spec, CpuShardMap, NodeShardMap, RegistrationShardMap, ShardMap,

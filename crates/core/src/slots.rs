@@ -16,8 +16,41 @@
 //!   `S − W` is always the number of outstanding claims.
 //!
 //! `S` (threads that have ever slept) doubles as the buffer's head pointer,
-//! exactly as in the paper; there is no tail pointer because sleepers leave
-//! in arbitrary order and the ring simply contains gaps.
+//! exactly as in the paper: a claim writes slot `S mod C`.  There is no
+//! tail pointer, because sleepers leave in arbitrary order, so the ring
+//! contains gaps — and it can also lap a sleeper that is still parked.
+//!
+//! ## Wrap eviction
+//!
+//! `S − W < T` bounds how many claims are outstanding, not where they sit.
+//! Once sleepers have left out of order, the head can come round to a slot
+//! whose sleeper is still parked, and the new claim **overwrites** it.  The
+//! books stay exact: `S − W` still counts the evicted claim, and its owner's
+//! [`SleepSlotBuffer::leave`] still advances `W` exactly once (its slot
+//! CAS simply fails).  But the evicted sleeper no longer owns a slot, so no
+//! wake scan can reach it: it sleeps until its own timeout, and a target
+//! shrink wakes fewer sleepers than it asked for.  With a ring of 4 and
+//! target 4, four claims, three departures and one more claim,
+//! `set_target(0)` wakes 1 of the 2 outstanding sleepers.  In the
+//! `lc-des` megascale configuration (1M waiters, 8 shards, seeds 201–203)
+//! 10–12 % of claims (203,915–248,527 of 1,999,872) land on an occupied
+//! slot.  Neither obvious fix is free: giving a claim back in O(1) raised
+//! runnable-per-capacity in that configuration from 1.34 to 16–31, and a
+//! linear probe for a free slot made one 1M-waiter run take over ten
+//! minutes instead of a few seconds.
+//!
+//! ## One book, two stores
+//!
+//! Every word of the book — per-shard `S`, `W` and `T`, the claim-race and
+//! controller-wake counters, the slot rings and claim stamps, the
+//! active-shard mask, the total target, the wake-scan exemptions and the
+//! wait histogram — sits at a fixed index of one flat slice of words
+//! ([`BookLayout`]).  In process that slice is a heap allocation; the
+//! `lc-shm` crate places the same layout in a shared-memory segment and
+//! builds the buffer over it with [`SleepSlotBuffer::over_store`], so a
+//! fleet of processes runs this very claim and wake code.  Waking is the
+//! one seam: the parker table in process, [`SleeperWake`] (futex words of
+//! sleeper cells) across processes.
 //!
 //! ## Sharding
 //!
@@ -50,13 +83,13 @@
 //! buffer is behaviourally identical to the unsharded original.
 
 use crate::config::{ClaimBackoff, WakeOrder};
+use crate::time::SleeperWake;
 use crate::topology::{RegistrationShardMap, ShardMap};
-use crossbeam_utils::CachePadded;
-use lc_locks::stats::{WaitHistogram, WaitObservation, WaitSnapshot};
+use lc_locks::stats::{WaitHistogram, WaitObservation, WaitSnapshot, WAIT_HISTOGRAM_BUCKETS};
 use lc_locks::Parker;
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -69,22 +102,18 @@ use std::time::Duration;
 pub struct SleeperId(u64);
 
 impl SleeperId {
-    /// The raw index of this sleeper in the buffer's parker table.
+    /// The raw index of this sleeper: its slot in the buffer's parker table,
+    /// or the id a shared book's owner assigned.
     pub fn index(self) -> u64 {
         self.0
     }
 
-    /// An id with a chosen raw index — only for in-crate tests of id-keyed
-    /// components (shard maps); real ids come from
-    /// [`SleepSlotBuffer::register_sleeper`].
-    #[cfg(test)]
-    pub(crate) fn from_index(index: u64) -> Self {
-        Self(index)
-    }
-
-    /// Reconstructs an id from its raw index — in-crate plumbing for the
-    /// [`crate::time::SlotHost`] impl, which keys episodes by the raw index.
-    pub(crate) fn from_raw(index: u64) -> Self {
+    /// An id with a chosen raw index.  In process, ids come from
+    /// [`SleepSlotBuffer::register_sleeper`]; a buffer over a shared store
+    /// ([`SleepSlotBuffer::over_store`]) is keyed by ids its owner hands out
+    /// (`lc-shm` uses sleeper-cell indices), and [`crate::time::SlotHost`]
+    /// rebuilds ids from the raw keys its episodes carry.
+    pub fn from_index(index: u64) -> Self {
         Self(index)
     }
 
@@ -215,34 +244,264 @@ pub fn even_split(total: u64, shards: usize, shard_capacity: u64) -> Vec<u64> {
 /// lock population per control instance.
 pub const MAX_EXEMPT: usize = 16;
 
-/// A small lock-free set of slot values (`SleeperId + 1`) the controller's
-/// wake scan must skip.
+/// Words per cache-line group of a book: 128 bytes, the padding
+/// `crossbeam_utils::CachePadded` uses on x86_64 (its adjacent-line
+/// prefetcher pulls 64-byte lines in pairs).  Words that different threads
+/// write — `S`, `W`, `T`, the counters — each start their own group.
+pub const LINE_WORDS: usize = 16;
+
+// Book-global words.
+const ACTIVE_MASK: usize = 0;
+const TOTAL_TARGET: usize = LINE_WORDS;
+const EXEMPT: usize = 2 * LINE_WORDS;
+const EXEMPT_SKIPS: usize = 3 * LINE_WORDS;
+const WAIT_HIST: usize = 4 * LINE_WORDS;
+const SHARD_BLOCKS: usize = WAIT_HIST + WAIT_HISTOGRAM_BUCKETS;
+
+// Words of one shard block, relative to the block.
+const SHARD_WORDS: usize = 4 * LINE_WORDS;
+const S: usize = 0;
+const W: usize = LINE_WORDS;
+const T: usize = 2 * LINE_WORDS;
+const CONTROLLER_WAKES: usize = 3 * LINE_WORDS;
+const CLAIM_RACES: usize = 3 * LINE_WORDS + 1;
+
+/// Where every word of an `S`/`W`/`T` book sits, as an index into a flat
+/// slice of `AtomicU64`.
+///
+/// The book holds no pointers, only words, so the same layout serves a heap
+/// allocation in one process and a shared-memory segment mapped by many
+/// (`lc-shm` places the words after its segment header):
+///
+/// ```text
+/// word 0     active-shard mask                  (own 128-byte group)
+/// word 16    total target  sum(T_i)             (own group)
+/// word 32    exempt entries, MAX_EXEMPT words   (one group)
+/// word 48    exempt skips                       (own group)
+/// word 64    wait histogram, 256 buckets
+/// word 320   shard blocks, 64 words each: S | W | T | controller wakes,
+///            claim races — four groups, so S, W and T never share a line
+/// ...        slot rings, one per shard, each padded to a whole group
+/// ...        claim stamps, laid out like the rings
+/// ```
+///
+/// Every word starts at zero except the active-shard mask, which
+/// [`BookLayout::format`] writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BookLayout {
+    shards: usize,
+    shard_capacity: usize,
+}
+
+impl BookLayout {
+    /// The layout of a book with `shards` physical shards (a non-zero power
+    /// of two) of `shard_capacity` slots each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_capacity` is zero or `shards` is not a non-zero
+    /// power of two.
+    pub fn new(shards: usize, shard_capacity: usize) -> Self {
+        assert!(
+            shard_capacity > 0,
+            "sleep slot buffer capacity must be non-zero"
+        );
+        assert!(
+            shards > 0 && shards.is_power_of_two(),
+            "shard count must be a non-zero power of two (got {shards})"
+        );
+        Self {
+            shards,
+            shard_capacity,
+        }
+    }
+
+    /// Number of physical shards.
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// Slots per shard.
+    pub fn shard_capacity(&self) -> usize {
+        self.shard_capacity
+    }
+
+    /// Total words the book occupies (a whole number of 128-byte groups).
+    pub fn words(&self) -> usize {
+        self.stamps_base() + self.shards * self.ring_stride()
+    }
+
+    /// Word index of shard `shard`'s `S` (ever slept, also the ring head).
+    pub fn s_word(&self, shard: usize) -> usize {
+        self.shard_base(shard) + S
+    }
+
+    /// Word index of shard `shard`'s `W` (woken and left).
+    pub fn w_word(&self, shard: usize) -> usize {
+        self.shard_base(shard) + W
+    }
+
+    /// Word index of shard `shard`'s `T` (published target).
+    pub fn t_word(&self, shard: usize) -> usize {
+        self.shard_base(shard) + T
+    }
+
+    /// Writes the only non-zero initial word of a fresh, zeroed book: the
+    /// mask selecting the first `active_shards` shards.  Run once by the
+    /// book's creator; processes attaching to a shared book must not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is shorter than [`BookLayout::words`] or
+    /// `active_shards` is not a power of two no larger than the shard count.
+    pub fn format(&self, words: &[AtomicU64], active_shards: usize) {
+        assert!(words.len() >= self.words(), "book store too small");
+        assert!(
+            active_shards.is_power_of_two() && active_shards <= self.shards,
+            "max shard count must be a power of two ≥ the active count \
+             (got {} < {active_shards})",
+            self.shards
+        );
+        words[ACTIVE_MASK].store(active_shards as u64 - 1, Ordering::Release);
+    }
+
+    fn shard_base(&self, shard: usize) -> usize {
+        debug_assert!(shard < self.shards);
+        SHARD_BLOCKS + shard * SHARD_WORDS
+    }
+
+    fn ring_stride(&self) -> usize {
+        self.shard_capacity.next_multiple_of(LINE_WORDS)
+    }
+
+    fn slots_base(&self) -> usize {
+        SHARD_BLOCKS + self.shards * SHARD_WORDS
+    }
+
+    fn stamps_base(&self) -> usize {
+        self.slots_base() + self.shards * self.ring_stride()
+    }
+}
+
+/// Memory that holds the words of a book.
+///
+/// [`SleepSlotBuffer`] resolves the slice once, when it is built, and then
+/// addresses words by index with no further call into the store: the heap
+/// store in process and a mapped segment across processes cost the same on
+/// the claim path.
+///
+/// # Safety
+///
+/// `words` must return the same slice — same address, same length — on
+/// every call for as long as the store is alive, and the memory must stay
+/// valid for atomic access from every thread the store is shared with.
+pub unsafe trait WordStore: Send + Sync {
+    /// The book's words.
+    fn words(&self) -> &[AtomicU64];
+}
+
+/// One 128-byte group of words; the heap store is an array of them so the
+/// groups are aligned to the lines they are meant to own.
+#[repr(C, align(128))]
+struct Line([AtomicU64; LINE_WORDS]);
+
+/// The in-process store: a zeroed heap allocation of whole groups.
+struct HeapWords(Box<[Line]>);
+
+impl HeapWords {
+    fn zeroed(words: usize) -> Self {
+        Self(
+            (0..words.div_ceil(LINE_WORDS))
+                .map(|_| Line(std::array::from_fn(|_| AtomicU64::new(0))))
+                .collect(),
+        )
+    }
+}
+
+// SAFETY: the boxed lines never move while the box is alive, and `Line` is
+// `repr(C)` over `LINE_WORDS` atomics, so the lines are one contiguous run
+// of `AtomicU64`s.
+unsafe impl WordStore for HeapWords {
+    fn words(&self) -> &[AtomicU64] {
+        // SAFETY: see the impl comment; the length counts every word of
+        // every line.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.0.as_ptr().cast::<AtomicU64>(),
+                self.0.len() * LINE_WORDS,
+            )
+        }
+    }
+}
+
+/// How the wake scan reaches the sleepers whose slots it cleared.
+enum Wakeup {
+    /// In process: registered parkers, indexed by [`SleeperId`].
+    Parkers(Mutex<Vec<Arc<Parker>>>),
+    /// A book over a shared store: the store's owner wakes sleepers by raw
+    /// id (`lc-shm` posts to the futex word of a sleeper cell).
+    Remote(Box<dyn SleeperWake>),
+}
+
+impl Wakeup {
+    fn wake(&self, ids: &[u64]) {
+        match self {
+            Wakeup::Parkers(table) => {
+                let table = table.lock().unwrap();
+                for &idx in ids {
+                    if let Some(p) = table.get(idx as usize) {
+                        p.unpark();
+                    }
+                }
+            }
+            Wakeup::Remote(waker) => waker.wake(ids),
+        }
+    }
+}
+
+/// Where a claim is written down besides its slot: nowhere in process, the
+/// claimant's sleeper cell in a shared segment (see
+/// [`SleepSlotBuffer::try_claim_recorded`]).  Generic, so the in-process
+/// claim path carries no extra store or branch.
+trait ClaimRecord: Copy {
+    fn record(self, idx: usize);
+}
+
+impl ClaimRecord for () {
+    #[inline(always)]
+    fn record(self, _idx: usize) {}
+}
+
+impl ClaimRecord for &AtomicU64 {
+    #[inline(always)]
+    fn record(self, idx: usize) {
+        self.store(idx as u64 + 1, Ordering::Release);
+    }
+}
+
+/// The wake-scan exemption set: [`MAX_EXEMPT`] words holding slot values
+/// (`SleeperId + 1`, 0 = free) the controller's wake scan must skip, plus
+/// the count of skips.
 ///
 /// The wake scan clears occupied slots to wake sleepers; a slot owned by a
 /// thread that is currently *combining* (executing other threads' critical
 /// sections in a delegation lock) should not absorb one of those wakes — the
 /// combiner is running, so clearing its slot wastes the wake on a thread
 /// that cannot respond and leaves an actual sleeper parked.
-struct ExemptSet {
-    entries: [AtomicU64; MAX_EXEMPT],
-    skips: AtomicU64,
+#[derive(Clone, Copy)]
+struct Exempt<'a> {
+    entries: &'a [AtomicU64],
+    skips: &'a AtomicU64,
 }
 
-impl ExemptSet {
-    fn new() -> Self {
-        Self {
-            entries: std::array::from_fn(|_| AtomicU64::new(0)),
-            skips: AtomicU64::new(0),
-        }
-    }
-
+impl Exempt<'_> {
     /// Adds `value`; `true` on success or if already present, `false` when
     /// all entries are taken.
     fn insert(&self, value: u64) -> bool {
         if self.contains(value) {
             return true;
         }
-        for entry in &self.entries {
+        for entry in self.entries {
             if entry
                 .compare_exchange(0, value, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
@@ -254,7 +513,7 @@ impl ExemptSet {
     }
 
     fn remove(&self, value: u64) {
-        for entry in &self.entries {
+        for entry in self.entries {
             let _ = entry.compare_exchange(value, 0, Ordering::AcqRel, Ordering::Relaxed);
         }
     }
@@ -268,7 +527,7 @@ impl ExemptSet {
     }
 
     fn clear_all(&self) {
-        for entry in &self.entries {
+        for entry in self.entries {
             entry.store(0, Ordering::Release);
         }
     }
@@ -284,74 +543,56 @@ impl ExemptSet {
     }
 }
 
-/// One shard: a private `S`/`W`/`T` triple plus its slice of the slot ring.
-struct Shard {
-    /// `S_i`: number of threads that ever claimed a slot here; also the head.
-    ever_slept: CachePadded<AtomicU64>,
-    /// `W_i`: number of threads that have since left.
-    woken: CachePadded<AtomicU64>,
-    /// `T_i`: how many threads the controller wants asleep in this shard.
-    target: CachePadded<AtomicU64>,
+/// One shard's counter block: `S`, `W` and `T` on their own groups, then the
+/// controller-wake and claim-race counters.
+type Counters = [AtomicU64; SHARD_WORDS];
+
+/// Outstanding claims (`S_i − W_i`).
+///
+/// `W` is read *before* `S`: a departure is only ever recorded after its
+/// matching claim (by the same thread), so this order can never observe
+/// `W > S` — at worst it overcounts sleepers by claims that landed between
+/// the two loads, which only makes callers more conservative.
+#[inline]
+fn sleepers_of(c: &Counters) -> u64 {
+    let w = c[W].load(Ordering::Acquire);
+    let s = c[S].load(Ordering::Acquire);
+    s.saturating_sub(w)
+}
+
+/// Whether a claim could succeed in this shard right now.
+#[inline]
+fn has_space_in(c: &Counters) -> bool {
+    let t = c[T].load(Ordering::Relaxed);
+    t != 0 && sleepers_of(c) < t
+}
+
+/// One shard seen through the book's words: its counter block plus its
+/// slice of the slot ring and the claim stamps.
+#[derive(Clone, Copy)]
+struct Shard<'a> {
+    counters: &'a Counters,
     /// Ring of slots; `0` = empty, otherwise `SleeperId + 1`.
-    slots: Box<[AtomicU64]>,
+    slots: &'a [AtomicU64],
     /// Claim stamp of each slot: the head-`S` value the claim committed at,
     /// plus one (so 0 = never claimed).  Monotonic per shard, which gives
     /// the window wake order its oldest-claim-first key.  A stamp is stored
     /// *before* its slot value, so an occupied slot always has a current
     /// stamp; a stale stamp under an empty slot is harmless (occupancy is
     /// checked first).
-    stamps: Box<[AtomicU64]>,
-    controller_wakes: AtomicU64,
-    claim_races: AtomicU64,
+    stamps: &'a [AtomicU64],
+    /// Global index of this shard's first slot (`shard * shard_capacity`).
+    first: usize,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let stamps = (0..capacity)
-            .map(|_| AtomicU64::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            ever_slept: CachePadded::new(AtomicU64::new(0)),
-            woken: CachePadded::new(AtomicU64::new(0)),
-            target: CachePadded::new(AtomicU64::new(0)),
-            slots,
-            stamps,
-            controller_wakes: AtomicU64::new(0),
-            claim_races: AtomicU64::new(0),
-        }
-    }
-
-    /// Outstanding claims (`S_i − W_i`).
-    ///
-    /// `W` is read *before* `S`: a departure is only ever recorded after its
-    /// matching claim (by the same thread), so this order can never observe
-    /// `W > S` — at worst it overcounts sleepers by claims that landed
-    /// between the two loads, which only makes callers more conservative.
-    fn sleepers(&self) -> u64 {
-        let w = self.woken.load(Ordering::Acquire);
-        let s = self.ever_slept.load(Ordering::Acquire);
-        s.saturating_sub(w)
-    }
-
-    /// Whether a claim could succeed in this shard right now.
-    #[inline]
-    fn has_space(&self) -> bool {
-        let t = self.target.load(Ordering::Relaxed);
-        t != 0 && self.sleepers() < t
-    }
-
+impl<'a> Shard<'a> {
     /// First half of a claim: load `T`/`S`/`W` and decide whether a claim
     /// may proceed.  Returns the observed head `S` the second half must CAS
     /// against, or `None` when there is no space (`T = 0` or `S − W ≥ T`).
     fn begin_claim(&self) -> Option<u64> {
-        let t = self.target.load(Ordering::Acquire);
-        let s = self.ever_slept.load(Ordering::Acquire);
-        let w = self.woken.load(Ordering::Acquire);
+        let t = self.counters[T].load(Ordering::Acquire);
+        let s = self.counters[S].load(Ordering::Acquire);
+        let w = self.counters[W].load(Ordering::Acquire);
         if t == 0 || s.saturating_sub(w) >= t {
             return None;
         }
@@ -359,9 +600,15 @@ impl Shard {
     }
 
     /// Second half of a claim: the head CAS against the `S` observed by
-    /// [`Shard::begin_claim`], then the slot write.
-    fn commit_claim(&self, sleeper: SleeperId, observed: u64) -> ClaimOutcome {
-        match self.ever_slept.compare_exchange(
+    /// [`Shard::begin_claim`], then the record, stamp and slot writes.  A
+    /// successful claim returns its global index.
+    fn commit_claim<R: ClaimRecord>(
+        &self,
+        sleeper: SleeperId,
+        observed: u64,
+        record: R,
+    ) -> ClaimOutcome {
+        match self.counters[S].compare_exchange(
             observed,
             observed + 1,
             Ordering::AcqRel,
@@ -369,15 +616,19 @@ impl Shard {
         ) {
             Ok(_) => {
                 let idx = (observed as usize) % self.slots.len();
+                // The record comes first so that no store separates it from
+                // the CAS: a claimant that dies here leaves a claim its
+                // record still names.
+                record.record(self.first + idx);
                 // Stamp before the slot write: once the slot reads occupied,
                 // its claim-order key is already in place for the window
                 // wake scan.
                 self.stamps[idx].store(observed + 1, Ordering::Release);
                 self.slots[idx].store(sleeper.slot_value(), Ordering::Release);
-                ClaimOutcome::Claimed(idx)
+                ClaimOutcome::Claimed(self.first + idx)
             }
             Err(_) => {
-                self.claim_races.fetch_add(1, Ordering::Relaxed);
+                self.counters[CLAIM_RACES].fetch_add(1, Ordering::Relaxed);
                 ClaimOutcome::Raced
             }
         }
@@ -387,12 +638,19 @@ impl Shard {
     /// single CAS exactly as in the paper; a lost CAS either returns
     /// [`ClaimOutcome::Raced`] immediately (paper behavior,
     /// `backoff.retries == 0`) or enters the contention-managed retry loop.
-    fn try_claim(&self, sleeper: SleeperId, backoff: ClaimBackoff) -> ClaimOutcome {
+    fn try_claim<R: ClaimRecord>(
+        &self,
+        sleeper: SleeperId,
+        backoff: ClaimBackoff,
+        record: R,
+    ) -> ClaimOutcome {
         let Some(s) = self.begin_claim() else {
             return ClaimOutcome::NoSpace;
         };
-        match self.commit_claim(sleeper, s) {
-            ClaimOutcome::Raced if backoff.retries > 0 => self.try_claim_managed(sleeper, backoff),
+        match self.commit_claim(sleeper, s, record) {
+            ClaimOutcome::Raced if backoff.retries > 0 => {
+                self.try_claim_managed(sleeper, backoff, record)
+            }
             outcome => outcome,
         }
     }
@@ -404,13 +662,18 @@ impl Shard {
     /// before the next CAS — load-then-CAS narrows the window a stale `S`
     /// is CASed against, so retries mostly succeed instead of racing again.
     #[cold]
-    fn try_claim_managed(&self, sleeper: SleeperId, backoff: ClaimBackoff) -> ClaimOutcome {
+    fn try_claim_managed<R: ClaimRecord>(
+        &self,
+        sleeper: SleeperId,
+        backoff: ClaimBackoff,
+        record: R,
+    ) -> ClaimOutcome {
         for attempt in 1..=backoff.retries {
             claim_backoff_spin(backoff.max_spins, attempt);
             let Some(s) = self.begin_claim() else {
                 return ClaimOutcome::NoSpace;
             };
-            match self.commit_claim(sleeper, s) {
+            match self.commit_claim(sleeper, s, record) {
                 ClaimOutcome::Raced => continue,
                 outcome => return outcome,
             }
@@ -420,9 +683,9 @@ impl Shard {
 
     /// Clears up to `count` occupied slots in this shard, skipping any slot
     /// whose owner is in `exempt` (the active-combiner exemption), and
-    /// appends the owners' parker indices to `wakes` — the caller unparks
-    /// the whole batch once, instead of a per-slot round trip through the
-    /// parker table.  Returns how many slots were cleared.
+    /// appends the owners' raw ids to `wakes` — the caller wakes the whole
+    /// batch once, instead of a per-slot round trip through the wake path.
+    /// Returns how many slots were cleared.
     ///
     /// `order` picks which occupants a *partial* wake reaches:
     /// [`WakeOrder::Fifo`] walks the ring in array order (the paper's scan),
@@ -433,7 +696,7 @@ impl Shard {
         &self,
         count: usize,
         order: WakeOrder,
-        exempt: &ExemptSet,
+        exempt: Exempt<'_>,
         wakes: &mut Vec<u64>,
     ) -> usize {
         if count == 0 {
@@ -442,7 +705,7 @@ impl Shard {
         match order {
             WakeOrder::Fifo => {
                 let mut cleared = 0;
-                for slot in self.slots.iter() {
+                for slot in self.slots {
                     if cleared >= count {
                         break;
                     }
@@ -479,7 +742,7 @@ impl Shard {
     /// One wake-scan visit of `slot`: skip if empty or exempt, else CAS it
     /// clear and record the owner.  Returns 1 if the slot was cleared.
     #[inline]
-    fn try_clear(&self, slot: &AtomicU64, exempt: &ExemptSet, wakes: &mut Vec<u64>) -> usize {
+    fn try_clear(&self, slot: &AtomicU64, exempt: Exempt<'_>, wakes: &mut Vec<u64>) -> usize {
         let v = slot.load(Ordering::Acquire);
         if v == 0 {
             return 0;
@@ -493,7 +756,7 @@ impl Shard {
             .is_ok()
         {
             wakes.push(v - 1);
-            self.controller_wakes.fetch_add(1, Ordering::Relaxed);
+            self.counters[CONTROLLER_WAKES].fetch_add(1, Ordering::Relaxed);
             1
         } else {
             0
@@ -524,21 +787,19 @@ fn claim_backoff_spin(max_spins: u32, attempt: u32) {
     }
 }
 
-/// The shared sleep slot buffer: one or more shards plus the global
-/// parker table.
+/// The shared sleep slot buffer: the `S`/`W`/`T` book over one word store
+/// ([`BookLayout`]) plus the path that wakes the sleepers it clears.
 pub struct SleepSlotBuffer {
-    /// Every *physical* shard.  The physical layout is fixed at construction
-    /// ([`SleepSlotBuffer::max_shard_count`] shards), so a claim's global
-    /// index stays valid across live reshards; only [`Self::active_mask`]
-    /// moves.
-    shards: Box<[Shard]>,
-    /// Slots per shard (`capacity / initial shard count`, rounded up).
-    shard_capacity: usize,
-    /// `active_count − 1`: the mask over the shards claims may currently
-    /// target.  Live reshard raises it (grow: new shards start at target 0)
-    /// or lowers it (shrink: drained shards are swept until their `S − W`
-    /// book balances) without moving any physical slot.
-    active_mask: AtomicUsize,
+    /// Owns the words; only read through [`Self::words`] after
+    /// construction.
+    _store: Box<dyn WordStore>,
+    /// `store.words()`, resolved once at construction.
+    words: *const [AtomicU64],
+    /// Where each word sits.  The physical shard count is fixed at
+    /// construction ([`SleepSlotBuffer::max_shard_count`] shards), so a
+    /// claim's global index stays valid across live reshards; only the
+    /// active-shard mask word moves.
+    layout: BookLayout,
     /// How each sleeper finds its home among the active shards (the
     /// `topology(mode=..)` plane).
     shard_map: Arc<dyn ShardMap>,
@@ -551,30 +812,31 @@ pub struct SleepSlotBuffer {
     /// never admits more simultaneous sleepers than an unsharded one built
     /// with the same argument.
     requested_capacity: u64,
-    /// Cached `sum(T_i)`, so the global target is one load on read paths.
-    total_target: CachePadded<AtomicU64>,
     /// Serializes target publication: a partition is `shard_count + 1`
     /// stores, and two concurrent publishers (the controller daemon and a
     /// `set_sleep_target` caller) interleaving them could otherwise leave
     /// the shard targets a mix of two partitions with the cached total out
     /// of sync — permanently, since the controller republishes on change
-    /// only.  The claim path never takes this lock.
+    /// only.  The claim path never takes this lock.  It serializes the
+    /// publishers of one process; over a shared store, the store's owner
+    /// must admit one publishing process at a time (`lc-shm` publishes only
+    /// from its elected controller).
     publish: Mutex<()>,
-    /// Registered sleepers' parkers, indexed by `SleeperId`.
-    parkers: Mutex<Vec<Arc<Parker>>>,
-    /// Sleepers the wake scan must skip (active combiners; see
-    /// [`SleepSlotBuffer::set_exempt`]).
-    exempt: ExemptSet,
+    /// How cleared sleepers are woken: the parker table, or the store
+    /// owner's wake path.
+    wakeup: Wakeup,
     /// Order of the controller's batched wake scan within each shard
     /// (see [`WakeOrder`]; set at construction via
     /// [`SleepSlotBuffer::with_wake_order`]).
     wake_order: WakeOrder,
-    /// Wait-time histogram of completed sleep episodes, fed by
-    /// [`SleepSlotBuffer::record_wait`] from both waiter kinds (thread and
-    /// async) through the [`crate::time::TimeSource`] seam — so it works on
-    /// real and virtual time alike.
-    wait: WaitHistogram,
 }
+
+// SAFETY: `words` points into `store`, which is `Send + Sync`, lives as long
+// as `self`, and keeps the slice in place (the `WordStore` contract); every
+// access through it is atomic.
+unsafe impl Send for SleepSlotBuffer {}
+// SAFETY: as above.
+unsafe impl Sync for SleepSlotBuffer {}
 
 impl fmt::Debug for SleepSlotBuffer {
     /// Shows the aggregate `S`/`W`/`T` books **and** the per-shard claim-race
@@ -592,7 +854,7 @@ impl fmt::Debug for SleepSlotBuffer {
             .field("exempt", &stats.exempt)
             .field("capacity", &self.capacity())
             .field("shards", &self.shard_count())
-            .field("max_shards", &self.shards.len())
+            .field("max_shards", &self.layout.shards)
             .field("topology", &self.shard_map.mode())
             .finish()
     }
@@ -631,7 +893,8 @@ impl SleepSlotBuffer {
     /// The fully parameterized constructor: `shards` *active* shards out of
     /// `max_shards` physically allocated ones (both non-zero powers of two,
     /// `max_shards ≥ shards`), home shards assigned by `shard_map`, and
-    /// head-CAS contention management per `backoff`.
+    /// head-CAS contention management per `backoff`.  The book lives on the
+    /// heap and wakes sleepers through their registered parkers.
     ///
     /// Each shard holds `capacity / shards` slots (rounded up), so the
     /// *initial* active set covers the requested capacity; growing the
@@ -654,30 +917,121 @@ impl SleepSlotBuffer {
             shards > 0 && shards.is_power_of_two(),
             "shard count must be a non-zero power of two (got {shards})"
         );
-        assert!(
-            max_shards >= shards && max_shards.is_power_of_two(),
-            "max shard count must be a power of two ≥ the active count \
-             (got {max_shards} < {shards})"
-        );
-        let shard_capacity = capacity.div_ceil(shards);
-        let physical = (0..max_shards)
-            .map(|_| Shard::new(shard_capacity))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            shards: physical,
-            shard_capacity,
-            active_mask: AtomicUsize::new(shards - 1),
+        let layout = BookLayout::new(max_shards, capacity.div_ceil(shards));
+        let store = HeapWords::zeroed(layout.words());
+        layout.format(store.words(), shards);
+        Self::assemble(
+            Box::new(store),
+            layout,
+            capacity as u64,
             shard_map,
             backoff,
-            requested_capacity: capacity as u64,
-            total_target: CachePadded::new(AtomicU64::new(0)),
+            Wakeup::Parkers(Mutex::new(Vec::new())),
+        )
+    }
+
+    /// A buffer over a book another owner holds — a segment mapped by a
+    /// fleet of processes — already formatted with [`BookLayout::format`].
+    /// Every process that maps the store builds its own `SleepSlotBuffer`
+    /// over the same words; `waker` wakes sleepers by the raw ids their
+    /// claims carry, and they register with the store's owner rather than
+    /// through [`SleepSlotBuffer::register_sleeper`].
+    ///
+    /// Such a buffer runs the defaults: every physical shard active,
+    /// registration-order home shards, FIFO wake order, no claim backoff,
+    /// and a target cap of the full slot count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store holds fewer than [`BookLayout::words`] words.
+    pub fn over_store(
+        store: Box<dyn WordStore>,
+        layout: BookLayout,
+        waker: Box<dyn SleeperWake>,
+    ) -> Self {
+        assert!(
+            store.words().len() >= layout.words(),
+            "book store too small"
+        );
+        Self::assemble(
+            store,
+            layout,
+            (layout.shards * layout.shard_capacity) as u64,
+            Arc::new(RegistrationShardMap),
+            ClaimBackoff::DISABLED,
+            Wakeup::Remote(waker),
+        )
+    }
+
+    fn assemble(
+        store: Box<dyn WordStore>,
+        layout: BookLayout,
+        requested_capacity: u64,
+        shard_map: Arc<dyn ShardMap>,
+        backoff: ClaimBackoff,
+        wakeup: Wakeup,
+    ) -> Self {
+        let words: *const [AtomicU64] = store.words();
+        Self {
+            _store: store,
+            words,
+            layout,
+            shard_map,
+            backoff,
+            requested_capacity,
             publish: Mutex::new(()),
-            parkers: Mutex::new(Vec::new()),
-            exempt: ExemptSet::new(),
+            wakeup,
             wake_order: WakeOrder::Fifo,
-            wait: WaitHistogram::new(),
         }
+    }
+
+    /// The book's words.
+    #[inline]
+    fn words(&self) -> &[AtomicU64] {
+        // SAFETY: `words` was resolved from `store`, which `self` owns and
+        // which keeps the slice alive and in place (the `WordStore`
+        // contract).
+        unsafe { &*self.words }
+    }
+
+    /// Shard `shard`'s counter block (`S`, `W`, `T`, counters).
+    #[inline]
+    fn counters(&self, shard: usize) -> &Counters {
+        let base = self.layout.shard_base(shard);
+        self.words()[base..base + SHARD_WORDS]
+            .try_into()
+            .expect("shard block size")
+    }
+
+    /// Shard `shard` with its slice of the ring and stamps.
+    #[inline]
+    fn shard(&self, shard: usize) -> Shard<'_> {
+        let words = self.words();
+        let cap = self.layout.shard_capacity;
+        let ring = self.layout.slots_base() + shard * self.layout.ring_stride();
+        let stamps = self.layout.stamps_base() + shard * self.layout.ring_stride();
+        Shard {
+            counters: self.counters(shard),
+            slots: &words[ring..ring + cap],
+            stamps: &words[stamps..stamps + cap],
+            first: shard * cap,
+        }
+    }
+
+    fn active_mask(&self) -> usize {
+        self.words()[ACTIVE_MASK].load(Ordering::Acquire) as usize
+    }
+
+    fn exempt(&self) -> Exempt<'_> {
+        let words = self.words();
+        Exempt {
+            entries: &words[EXEMPT..EXEMPT + MAX_EXEMPT],
+            skips: &words[EXEMPT_SKIPS],
+        }
+    }
+
+    fn wait_buckets(&self) -> &[AtomicU64] {
+        &self.words()[WAIT_HIST..WAIT_HIST + WAIT_HISTOGRAM_BUCKETS]
     }
 
     /// Returns `self` with the wake scan running in `order` (construction
@@ -699,37 +1053,43 @@ impl SleepSlotBuffer {
     /// [`crate::time::TimeSource`].
     #[inline]
     pub fn record_wait(&self, elapsed: Duration) {
-        self.wait.record(elapsed);
+        WaitHistogram::record_in(self.wait_buckets(), elapsed);
     }
 
     /// A snapshot of the wait-time histogram (all completed episodes since
     /// construction; windows via [`WaitSnapshot::since`]).
     pub fn wait_snapshot(&self) -> WaitSnapshot {
-        self.wait.snapshot()
+        WaitSnapshot::of_buckets(self.wait_buckets())
     }
 
     /// Total number of slots across all *physical* shards.
     pub fn capacity(&self) -> usize {
-        self.shard_capacity * self.shards.len()
+        self.layout.shard_capacity * self.layout.shards
+    }
+
+    /// The most sleepers the global target may admit: the capacity the
+    /// buffer was built with (not the rounded-up physical slot count).
+    pub(crate) fn requested_capacity(&self) -> u64 {
+        self.requested_capacity
     }
 
     /// Number of currently *active* shards (always a power of two; 1 for the
     /// unsharded default).  Live reshard moves this between 1 and
     /// [`SleepSlotBuffer::max_shard_count`].
     pub fn shard_count(&self) -> usize {
-        self.active_mask.load(Ordering::Acquire) + 1
+        self.active_mask() + 1
     }
 
     /// Number of physically allocated shards (the reshard ceiling; equals
     /// [`SleepSlotBuffer::shard_count`] unless the buffer was built with
     /// reshard headroom).
     pub fn max_shard_count(&self) -> usize {
-        self.shards.len()
+        self.layout.shards
     }
 
     /// Number of slots in each shard's ring.
     pub fn shard_capacity(&self) -> usize {
-        self.shard_capacity
+        self.layout.shard_capacity
     }
 
     /// The home-shard mapping this buffer was built with (the
@@ -739,8 +1099,16 @@ impl SleepSlotBuffer {
     }
 
     /// Registers a thread (by its parker) as a potential sleeper.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a buffer built with [`SleepSlotBuffer::over_store`]: its
+    /// sleepers register with the store's owner.
     pub fn register_sleeper(&self, parker: Arc<Parker>) -> SleeperId {
-        let mut table = self.parkers.lock().unwrap();
+        let Wakeup::Parkers(table) = &self.wakeup else {
+            panic!("sleepers of a shared book register with the book's owner");
+        };
+        let mut table = table.lock().unwrap();
         table.push(parker);
         SleeperId(table.len() as u64 - 1)
     }
@@ -752,37 +1120,39 @@ impl SleepSlotBuffer {
     /// follow the calling thread's placement instead.
     #[inline]
     pub fn home_shard(&self, sleeper: SleeperId) -> usize {
-        let mask = self.active_mask.load(Ordering::Acquire);
+        let mask = self.active_mask();
         self.shard_map.home_shard(sleeper, mask + 1) & mask
     }
 
     /// The current global sleep target (`sum(T_i)`).
     pub fn target(&self) -> u64 {
-        self.total_target.load(Ordering::Relaxed)
+        self.words()[TOTAL_TARGET].load(Ordering::Relaxed)
     }
 
     /// The target currently assigned to shard `shard`.
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shard_count()`.
+    /// Panics if `shard >= max_shard_count()`.
     pub fn shard_target(&self, shard: usize) -> u64 {
-        self.shards[shard].target.load(Ordering::Relaxed)
+        self.counters(shard)[T].load(Ordering::Relaxed)
     }
 
     /// Number of outstanding claims (`sum(S_i − W_i)`): threads asleep or
     /// about to be.
     pub fn sleepers(&self) -> u64 {
-        self.shards.iter().map(Shard::sleepers).sum()
+        (0..self.layout.shards)
+            .map(|shard| sleepers_of(self.counters(shard)))
+            .sum()
     }
 
     /// Outstanding claims in shard `shard` (`S_i − W_i`).
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shard_count()`.
+    /// Panics if `shard >= max_shard_count()`.
     pub fn shard_sleepers(&self, shard: usize) -> u64 {
-        self.shards[shard].sleepers()
+        sleepers_of(self.counters(shard))
     }
 
     /// Whether a spinning thread should try to claim a slot right now,
@@ -808,16 +1178,16 @@ impl SleepSlotBuffer {
     /// [`SleepSlotBuffer::has_space`] when there is a single shard.
     #[inline]
     pub fn has_space_for(&self, sleeper: SleeperId) -> bool {
-        let mask = self.active_mask.load(Ordering::Acquire);
+        let mask = self.active_mask();
         let home = self.shard_map.home_shard(sleeper, mask + 1) & mask;
-        if self.shards[home].has_space() {
+        if has_space_in(self.counters(home)) {
             return true;
         }
         if mask == 0 {
             return false;
         }
         let neighbour = (home + 1) & mask;
-        if self.shards[neighbour].has_space() {
+        if has_space_in(self.counters(neighbour)) {
             return true;
         }
         // The wide scan (home and neighbour already answered) runs only when
@@ -826,12 +1196,8 @@ impl SleepSlotBuffer {
         // a closed or saturated local pair is a bounded, period-amortized
         // walk of the remaining active shards in the saturated steady state.
         self.target() > 0
-            && self
-                .shards
-                .iter()
-                .take(mask + 1)
-                .enumerate()
-                .any(|(idx, shard)| idx != home && idx != neighbour && shard.has_space())
+            && (0..=mask)
+                .any(|idx| idx != home && idx != neighbour && has_space_in(self.counters(idx)))
     }
 
     /// Attempts to claim a slot for `sleeper`: one CAS attempt on the home
@@ -844,34 +1210,44 @@ impl SleepSlotBuffer {
     /// can make the global target unreachable.  Losing everywhere just means
     /// going back to polling, as in the paper.
     pub fn try_claim(&self, sleeper: SleeperId) -> ClaimOutcome {
-        let mask = self.active_mask.load(Ordering::Acquire);
+        self.claim_with(sleeper, ())
+    }
+
+    /// [`SleepSlotBuffer::try_claim`] that also stores the claim's global
+    /// index plus one into `record` — right after the winning head CAS,
+    /// before the slot is written.  A shared book's owner keeps `record` in
+    /// the claimant's sleeper cell, so a sweep can end the claims of a dead
+    /// process by walking cells: a claim whose slot a later claim
+    /// overwrote (see the module docs on wrap eviction) is then still
+    /// found.  Clearing `record` after [`SleepSlotBuffer::leave`] is the
+    /// caller's job.
+    pub fn try_claim_recorded(&self, sleeper: SleeperId, record: &AtomicU64) -> ClaimOutcome {
+        self.claim_with(sleeper, record)
+    }
+
+    #[inline]
+    fn claim_with<R: ClaimRecord>(&self, sleeper: SleeperId, record: R) -> ClaimOutcome {
+        let mask = self.active_mask();
         let home = self.shard_map.home_shard(sleeper, mask + 1) & mask;
-        let first = match self.shards[home].try_claim(sleeper, self.backoff) {
-            ClaimOutcome::Claimed(idx) => {
-                return ClaimOutcome::Claimed(home * self.shard_capacity + idx)
-            }
-            other => other,
-        };
-        if mask == 0 {
+        let first = self.shard(home).try_claim(sleeper, self.backoff, record);
+        if mask == 0 || matches!(first, ClaimOutcome::Claimed(_)) {
             return first;
         }
         let neighbour = (home + 1) & mask;
-        let second = match self.shards[neighbour].try_claim(sleeper, self.backoff) {
-            ClaimOutcome::Claimed(idx) => {
-                return ClaimOutcome::Claimed(neighbour * self.shard_capacity + idx)
-            }
-            other => other,
-        };
+        let second = self
+            .shard(neighbour)
+            .try_claim(sleeper, self.backoff, record);
+        if matches!(second, ClaimOutcome::Claimed(_)) {
+            return second;
+        }
         let mut raced = first == ClaimOutcome::Raced || second == ClaimOutcome::Raced;
         if self.target() > 0 {
-            for (idx, shard) in self.shards.iter().take(mask + 1).enumerate() {
+            for idx in 0..=mask {
                 if idx == home || idx == neighbour {
                     continue;
                 }
-                match shard.try_claim(sleeper, self.backoff) {
-                    ClaimOutcome::Claimed(slot) => {
-                        return ClaimOutcome::Claimed(idx * self.shard_capacity + slot)
-                    }
+                match self.shard(idx).try_claim(sleeper, self.backoff, record) {
+                    claimed @ ClaimOutcome::Claimed(_) => return claimed,
                     ClaimOutcome::Raced => raced = true,
                     ClaimOutcome::NoSpace => {}
                 }
@@ -897,7 +1273,7 @@ impl SleepSlotBuffer {
     ///
     /// Panics if `shard >= max_shard_count()`.
     pub fn begin_claim_at(&self, shard: usize) -> Option<u64> {
-        self.shards[shard].begin_claim()
+        self.shard(shard).begin_claim()
     }
 
     /// Second half of a split claim: the head CAS against `observed` (from
@@ -910,17 +1286,21 @@ impl SleepSlotBuffer {
     ///
     /// Panics if `shard >= max_shard_count()`.
     pub fn commit_claim_at(&self, shard: usize, sleeper: SleeperId, observed: u64) -> ClaimOutcome {
-        match self.shards[shard].commit_claim(sleeper, observed) {
-            ClaimOutcome::Claimed(idx) => ClaimOutcome::Claimed(shard * self.shard_capacity + idx),
-            other => other,
-        }
+        self.shard(shard).commit_claim(sleeper, observed, ())
+    }
+
+    /// The slot word holding global claim index `idx`.
+    #[inline]
+    fn slot(&self, idx: usize) -> &AtomicU64 {
+        let cap = self.layout.shard_capacity;
+        let (shard, slot) = (idx / cap, idx % cap);
+        &self.words()[self.layout.slots_base() + shard * self.layout.ring_stride() + slot]
     }
 
     /// Whether the slot at `idx` still belongs to `sleeper` (i.e. the
     /// controller has not cleared it yet).
     pub fn still_claimed(&self, idx: usize, sleeper: SleeperId) -> bool {
-        let (shard, slot) = self.locate(idx);
-        self.shards[shard].slots[slot].load(Ordering::Acquire) == sleeper.slot_value()
+        self.slot(idx).load(Ordering::Acquire) == sleeper.slot_value()
     }
 
     /// Releases a claim: clears the slot if it is still ours and increments
@@ -928,19 +1308,13 @@ impl SleepSlotBuffer {
     /// claim — whether the thread slept and woke, timed out, or acquired the
     /// lock before ever sleeping.
     pub fn leave(&self, idx: usize, sleeper: SleeperId) {
-        let (shard, slot) = self.locate(idx);
-        let _ = self.shards[shard].slots[slot].compare_exchange(
+        let _ = self.slot(idx).compare_exchange(
             sleeper.slot_value(),
             0,
             Ordering::AcqRel,
             Ordering::Relaxed,
         );
-        self.shards[shard].woken.fetch_add(1, Ordering::AcqRel);
-    }
-
-    #[inline]
-    fn locate(&self, idx: usize) -> (usize, usize) {
-        (idx / self.shard_capacity, idx % self.shard_capacity)
+        self.counters(idx / self.layout.shard_capacity)[W].fetch_add(1, Ordering::AcqRel);
     }
 
     /// Sets the global sleep target, partitioned evenly across shards and
@@ -959,7 +1333,11 @@ impl SleepSlotBuffer {
         // reshard cannot change the active shard count between the split and
         // its publication.
         let _publish = self.publish.lock().unwrap();
-        let split = even_split(capped, self.shard_count(), self.shard_capacity as u64);
+        let split = even_split(
+            capped,
+            self.shard_count(),
+            self.layout.shard_capacity as u64,
+        );
         self.publish_locked(&split)
     }
 
@@ -1002,7 +1380,7 @@ impl SleepSlotBuffer {
             // stale, like a changed total.
             return None;
         }
-        if self.total_target.load(Ordering::Relaxed) != expected_total {
+        if self.target() != expected_total {
             return None;
         }
         Some(self.publish_locked(targets))
@@ -1012,48 +1390,43 @@ impl SleepSlotBuffer {
     ///
     /// The shrink pass is **batched**: every shard whose target fell below
     /// its outstanding claims contributes its wake candidates to one list,
-    /// and the whole list is unparked in a single pass over the parker
-    /// table — one lock round trip instead of one per slot.
+    /// and the whole list is woken in a single pass — one lock round trip
+    /// through the parker table instead of one per slot.
     fn publish_locked(&self, targets: &[u64]) -> usize {
-        let active = self.shard_count();
+        let cap = self.layout.shard_capacity as u64;
         let mut total = 0u64;
         let mut wakes = Vec::new();
-        for (shard, &target) in self.shards.iter().take(active).zip(targets) {
-            let capped = target.min(self.shard_capacity as u64);
+        for (shard, &target) in (0..self.shard_count()).zip(targets) {
+            let capped = target.min(cap);
             total += capped;
-            shard.target.store(capped, Ordering::Release);
-            let sleepers = shard.sleepers();
+            let counters = self.counters(shard);
+            counters[T].store(capped, Ordering::Release);
+            let sleepers = sleepers_of(counters);
             if sleepers > capped {
-                shard.collect_wakes(
+                self.shard(shard).collect_wakes(
                     (sleepers - capped) as usize,
                     self.wake_order,
-                    &self.exempt,
+                    self.exempt(),
                     &mut wakes,
                 );
             }
         }
-        self.total_target.store(total, Ordering::Release);
-        self.unpark_batch(&wakes);
+        self.words()[TOTAL_TARGET].store(total, Ordering::Release);
+        self.wake_batch(&wakes);
         wakes.len()
     }
 
-    /// Unparks every collected wake candidate in one pass over the parker
-    /// table (the batch half of the two-phase wake scan).
-    fn unpark_batch(&self, wakes: &[u64]) {
-        if wakes.is_empty() {
-            return;
-        }
-        let table = self.parkers.lock().unwrap();
-        for &idx in wakes {
-            if let Some(p) = table.get(idx as usize) {
-                p.unpark();
-            }
+    /// Wakes every collected wake candidate in one batch (the second half
+    /// of the two-phase wake scan).
+    fn wake_batch(&self, wakes: &[u64]) {
+        if !wakes.is_empty() {
+            self.wakeup.wake(wakes);
         }
     }
 
     /// Clears up to `count` occupied slots (scanning all physical shards in
     /// order, so sleepers still draining out of resized-away shards are
-    /// reachable) and unparks their owners in one batch.  Returns how many
+    /// reachable) and wakes their owners in one batch.  Returns how many
     /// were actually woken.
     pub fn wake(&self, count: usize) -> usize {
         if count == 0 {
@@ -1061,13 +1434,18 @@ impl SleepSlotBuffer {
         }
         let mut wakes = Vec::new();
         let mut remaining = count;
-        for shard in self.shards.iter() {
+        for shard in 0..self.layout.shards {
             if remaining == 0 {
                 break;
             }
-            remaining -= shard.collect_wakes(remaining, self.wake_order, &self.exempt, &mut wakes);
+            remaining -= self.shard(shard).collect_wakes(
+                remaining,
+                self.wake_order,
+                self.exempt(),
+                &mut wakes,
+            );
         }
-        self.unpark_batch(&wakes);
+        self.wake_batch(&wakes);
         wakes.len()
     }
 
@@ -1094,24 +1472,23 @@ impl SleepSlotBuffer {
     /// clustered above their shard's narrower per-shard target (they migrate
     /// by re-claiming on the wider set).
     pub fn resize_active_shards(&self, new_count: usize) -> usize {
-        let new = new_count.clamp(1, self.shards.len()).next_power_of_two();
+        let new = new_count.clamp(1, self.layout.shards).next_power_of_two();
         let _publish = self.publish.lock().unwrap();
         let current = self.shard_count();
         if new == current {
             return 0;
         }
-        let total = self.total_target.load(Ordering::Relaxed);
+        let total = self.target();
+        let cap = self.layout.shard_capacity as u64;
         if new > current {
-            self.active_mask.store(new - 1, Ordering::Release);
-            let split = even_split(total, new, self.shard_capacity as u64);
-            return self.publish_locked(&split);
+            self.words()[ACTIVE_MASK].store(new as u64 - 1, Ordering::Release);
+            return self.publish_locked(&even_split(total, new, cap));
         }
-        for shard in self.shards.iter().take(current).skip(new) {
-            shard.target.store(0, Ordering::Release);
+        for shard in new..current {
+            self.counters(shard)[T].store(0, Ordering::Release);
         }
-        self.active_mask.store(new - 1, Ordering::Release);
-        let split = even_split(total, new, self.shard_capacity as u64);
-        let woken = self.publish_locked(&split);
+        self.words()[ACTIVE_MASK].store(new as u64 - 1, Ordering::Release);
+        let woken = self.publish_locked(&even_split(total, new, cap));
         woken + self.sweep_drained_locked()
     }
 
@@ -1127,14 +1504,15 @@ impl SleepSlotBuffer {
 
     fn sweep_drained_locked(&self) -> usize {
         let active = self.shard_count();
-        if active == self.shards.len() {
+        if active == self.layout.shards {
             return 0;
         }
         let mut wakes = Vec::new();
-        for shard in self.shards.iter().skip(active) {
-            shard.collect_wakes(usize::MAX, self.wake_order, &self.exempt, &mut wakes);
+        for shard in active..self.layout.shards {
+            self.shard(shard)
+                .collect_wakes(usize::MAX, self.wake_order, self.exempt(), &mut wakes);
         }
-        self.unpark_batch(&wakes);
+        self.wake_batch(&wakes);
         wakes.len()
     }
 
@@ -1142,8 +1520,9 @@ impl SleepSlotBuffer {
     /// shards — the quiesce debt of the most recent shrink.  Zero once every
     /// displaced sleeper has woken and left.
     pub fn drained_sleepers(&self) -> u64 {
-        let active = self.shard_count();
-        self.shards.iter().skip(active).map(Shard::sleepers).sum()
+        (self.shard_count()..self.layout.shards)
+            .map(|shard| sleepers_of(self.counters(shard)))
+            .sum()
     }
 
     /// Wakes every sleeper and resets all targets to zero (shutdown path).
@@ -1153,12 +1532,12 @@ impl SleepSlotBuffer {
     pub fn wake_all(&self) -> usize {
         {
             let _publish = self.publish.lock().unwrap();
-            for shard in self.shards.iter() {
-                shard.target.store(0, Ordering::Release);
+            for shard in 0..self.layout.shards {
+                self.counters(shard)[T].store(0, Ordering::Release);
             }
-            self.total_target.store(0, Ordering::Release);
+            self.words()[TOTAL_TARGET].store(0, Ordering::Release);
         }
-        self.exempt.clear_all();
+        self.exempt().clear_all();
         self.wake(self.capacity())
     }
 
@@ -1172,29 +1551,29 @@ impl SleepSlotBuffer {
     /// exemption, which is safe (a skipped exemption only means the combiner
     /// can absorb a wake it does not need).
     pub fn set_exempt(&self, sleeper: SleeperId) -> bool {
-        self.exempt.insert(sleeper.slot_value())
+        self.exempt().insert(sleeper.slot_value())
     }
 
     /// Removes `sleeper`'s wake-scan exemption, if present.
     pub fn clear_exempt(&self, sleeper: SleeperId) {
-        self.exempt.remove(sleeper.slot_value());
+        self.exempt().remove(sleeper.slot_value());
     }
 
     /// Whether `sleeper` is currently exempt from the wake scan.
     pub fn is_exempt(&self, sleeper: SleeperId) -> bool {
-        self.exempt.contains(sleeper.slot_value())
+        self.exempt().contains(sleeper.slot_value())
     }
 
     /// Raw registration indices ([`SleeperId::index`]) of every currently
     /// exempt sleeper, for introspection and tests.
     pub fn exempt_ids(&self) -> Vec<u64> {
-        self.exempt.ids()
+        self.exempt().ids()
     }
 
     /// Number of wake-scan encounters with an exempt slot (each one skipped
     /// and redirected to the next occupied slot).
     pub fn exempt_skips(&self) -> u64 {
-        self.exempt.skips.load(Ordering::Relaxed)
+        self.exempt().skips.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the buffer's counters, aggregated over all shards.
@@ -1206,17 +1585,16 @@ impl SleepSlotBuffer {
     pub fn stats(&self) -> SlotBufferStats {
         let mut stats = SlotBufferStats {
             target: self.target(),
-            exempt: self.exempt.ids().len() as u64,
-            wait: self.wait.snapshot().observation(),
+            exempt: self.exempt().ids().len() as u64,
+            wait: self.wait_snapshot().observation(),
             ..SlotBufferStats::default()
         };
-        for shard in self.shards.iter() {
-            let w = shard.woken.load(Ordering::Acquire);
-            let s = shard.ever_slept.load(Ordering::Acquire);
-            stats.ever_slept += s;
-            stats.woken_and_left += w;
-            stats.controller_wakes += shard.controller_wakes.load(Ordering::Relaxed);
-            stats.claim_races += shard.claim_races.load(Ordering::Relaxed);
+        for shard in 0..self.layout.shards {
+            let shard = self.shard_stats(shard);
+            stats.ever_slept += shard.ever_slept;
+            stats.woken_and_left += shard.woken_and_left;
+            stats.controller_wakes += shard.controller_wakes;
+            stats.claim_races += shard.claim_races;
         }
         stats
     }
@@ -1225,17 +1603,17 @@ impl SleepSlotBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if `shard >= shard_count()`.
+    /// Panics if `shard >= max_shard_count()`.
     pub fn shard_stats(&self, shard: usize) -> SlotBufferStats {
-        let shard = &self.shards[shard];
-        let w = shard.woken.load(Ordering::Acquire);
-        let s = shard.ever_slept.load(Ordering::Acquire);
+        let c = self.counters(shard);
+        let w = c[W].load(Ordering::Acquire);
+        let s = c[S].load(Ordering::Acquire);
         SlotBufferStats {
             ever_slept: s,
             woken_and_left: w,
-            target: shard.target.load(Ordering::Relaxed),
-            controller_wakes: shard.controller_wakes.load(Ordering::Relaxed),
-            claim_races: shard.claim_races.load(Ordering::Relaxed),
+            target: c[T].load(Ordering::Relaxed),
+            controller_wakes: c[CONTROLLER_WAKES].load(Ordering::Relaxed),
+            claim_races: c[CLAIM_RACES].load(Ordering::Relaxed),
             // Exemption and wait stats are buffer-global; defaults here keep
             // shard sums honest.
             exempt: 0,
@@ -1251,26 +1629,22 @@ impl SleepSlotBuffer {
     /// waiter population) shows up here while the aggregate still looks
     /// flat.
     pub fn claim_races_per_shard(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|shard| shard.claim_races.load(Ordering::Relaxed))
+        (0..self.layout.shards)
+            .map(|shard| self.counters(shard)[CLAIM_RACES].load(Ordering::Relaxed))
             .collect()
     }
 
     /// Per-shard snapshots of the *active* shards for the controller's
     /// target splitter (one snapshot per shard a partition may target).
     pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shards
-            .iter()
-            .take(self.shard_count())
+        (0..self.shard_count())
             .map(|shard| {
-                let w = shard.woken.load(Ordering::Acquire);
-                let s = shard.ever_slept.load(Ordering::Acquire);
+                let stats = self.shard_stats(shard);
                 ShardSnapshot {
-                    sleepers: s.saturating_sub(w),
-                    ever_slept: s,
-                    claim_races: shard.claim_races.load(Ordering::Relaxed),
-                    target: shard.target.load(Ordering::Relaxed),
+                    sleepers: stats.ever_slept.saturating_sub(stats.woken_and_left),
+                    ever_slept: stats.ever_slept,
+                    claim_races: stats.claim_races,
+                    target: stats.target,
                 }
             })
             .collect()
@@ -1389,6 +1763,91 @@ mod tests {
         assert_eq!(idx, 0, "head must wrap into the vacated slot");
         claims.push(idx);
         (buf, ids, claims)
+    }
+
+    /// Wrap eviction, pinned: a claim whose head wraps onto a slot whose
+    /// sleeper is still parked overwrites it.  The books stay exact — the
+    /// evicted claim is still outstanding in `S − W` and its `leave` is
+    /// counted once — but no wake scan can reach it any more.
+    #[test]
+    fn a_claim_that_wraps_onto_a_parked_sleeper_evicts_it_and_keeps_the_books() {
+        let buf = SleepSlotBuffer::new(4);
+        buf.set_target(4);
+        let ids: Vec<_> = (0..5).map(|_| sleeper(&buf)).collect();
+        let claims: Vec<usize> = ids[..4]
+            .iter()
+            .map(|id| match buf.try_claim(*id) {
+                ClaimOutcome::Claimed(idx) => idx,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(claims, vec![0, 1, 2, 3]);
+        for (id, idx) in ids[1..4].iter().zip(&claims[1..]) {
+            buf.leave(*idx, *id);
+        }
+        // S = 4, W = 3: the head is at slot 4 mod 4 = 0, still occupied.
+        let ClaimOutcome::Claimed(lap) = buf.try_claim(ids[4]) else {
+            panic!("claim under the target failed");
+        };
+        assert_eq!(lap, 0, "the head wrapped onto the parked sleeper's slot");
+        assert!(!buf.still_claimed(claims[0], ids[0]), "sleeper not evicted");
+        assert!(buf.still_claimed(lap, ids[4]));
+        assert_eq!(buf.sleepers(), 2, "S - W must count both claims");
+
+        // Shrinking to zero reaches only the slot's current owner.
+        assert_eq!(buf.set_target(0), 1);
+        assert_eq!(buf.sleepers(), 2);
+
+        // The evicted sleeper's own leave advances W exactly once.
+        let before = buf.stats().woken_and_left;
+        buf.leave(claims[0], ids[0]);
+        assert_eq!(buf.stats().woken_and_left, before + 1);
+        assert_eq!(buf.sleepers(), 1);
+        buf.leave(lap, ids[4]);
+        let stats = buf.stats();
+        assert_eq!(stats.ever_slept, 5);
+        assert_eq!(stats.ever_slept, stats.woken_and_left);
+    }
+
+    #[test]
+    fn claim_records_land_before_the_slot_and_name_the_global_index() {
+        let buf = SleepSlotBuffer::with_shards(8, 2);
+        buf.set_target(8);
+        let ids: Vec<_> = (0..2).map(|_| sleeper(&buf)).collect();
+        let record = AtomicU64::new(0);
+        let ClaimOutcome::Claimed(idx) = buf.try_claim_recorded(ids[1], &record) else {
+            panic!("claim failed");
+        };
+        assert_eq!(idx, 4, "sleeper 1 homes on shard 1, whose first slot is 4");
+        assert_eq!(record.load(Ordering::Acquire), idx as u64 + 1);
+        assert!(buf.still_claimed(idx, ids[1]));
+        // A failed claim leaves the record alone.
+        buf.set_target(0);
+        record.store(0, Ordering::Release);
+        assert_eq!(
+            buf.try_claim_recorded(ids[0], &record),
+            ClaimOutcome::NoSpace
+        );
+        assert_eq!(record.load(Ordering::Acquire), 0);
+        buf.leave(idx, ids[1]);
+    }
+
+    #[test]
+    fn book_layout_keeps_s_w_t_on_separate_lines_and_fits_its_store() {
+        for (shards, cap) in [(1, 1), (4, 64), (8, 125_000), (2, 17)] {
+            let layout = BookLayout::new(shards, cap);
+            assert_eq!(layout.words() % LINE_WORDS, 0);
+            let lines: std::collections::HashSet<usize> = (0..shards)
+                .flat_map(|s| [layout.s_word(s), layout.w_word(s), layout.t_word(s)])
+                .map(|w| w / LINE_WORDS)
+                .collect();
+            assert_eq!(lines.len(), 3 * shards, "S/W/T groups collide");
+            assert!(layout.t_word(shards - 1) < layout.words());
+        }
+        // The heap store is group-aligned.
+        let buf = SleepSlotBuffer::with_shards(16, 4);
+        assert_eq!(buf.words().as_ptr() as usize % (LINE_WORDS * 8), 0);
+        assert!(buf.words().len() >= BookLayout::new(4, 4).words());
     }
 
     #[test]

@@ -121,11 +121,12 @@ impl ParkOps for ThreadPark {
 /// The slot store a [`SlotWait`] episode runs against.
 ///
 /// [`SleepSlotBuffer`] is the in-process implementation; the `lc-shm` crate
-/// implements it for its shared-memory slot buffer so that *cross-process*
-/// waiters drive the very same wait state machine.  Claims are keyed by an
-/// opaque `u64` — the raw [`SleeperId`] index in-process, the sleeper-cell
-/// index in a shared segment — because a host valid across address spaces
-/// cannot traffic in pointers.
+/// implements it for its segment, whose book is a [`SleepSlotBuffer`] over
+/// shared words, so that *cross-process* waiters drive the very same wait
+/// state machine (its `wait_leave` also clears the claim the sleeper cell
+/// records).  Claims are keyed by an opaque `u64` — the raw [`SleeperId`]
+/// index in-process, the sleeper-cell index in a shared segment — because a
+/// host valid across address spaces cannot traffic in pointers.
 pub trait SlotHost {
     /// Whether the slot at `idx` still holds the claim identified by `key`
     /// (i.e. the controller has not cleared it yet).
@@ -141,7 +142,7 @@ pub trait SlotHost {
 
 impl SlotHost for SleepSlotBuffer {
     fn wait_still_claimed(&self, idx: usize, key: u64) -> bool {
-        self.still_claimed(idx, SleeperId::from_raw(key))
+        self.still_claimed(idx, SleeperId::from_index(key))
     }
 
     fn wait_record(&self, elapsed: Duration) {
@@ -149,8 +150,22 @@ impl SlotHost for SleepSlotBuffer {
     }
 
     fn wait_leave(&self, idx: usize, key: u64) {
-        self.leave(idx, SleeperId::from_raw(key));
+        self.leave(idx, SleeperId::from_index(key));
     }
+}
+
+/// How a [`SleepSlotBuffer`]'s wake scan reaches the sleepers whose slots
+/// it cleared — the wake half of the seam [`SlotHost`] is the wait half of.
+///
+/// In process the buffer unparks the [`Parker`]s registered through
+/// [`SleepSlotBuffer::register_sleeper`] and needs no implementation of
+/// this trait; a buffer over a shared store
+/// ([`SleepSlotBuffer::over_store`]) hands its cleared ids to one (`lc-shm`
+/// posts to the futex word of each sleeper cell).
+pub trait SleeperWake: Send + Sync {
+    /// Wakes the sleepers with these raw ids (slot value − 1), one batch per
+    /// wake scan.
+    fn wake(&self, ids: &[u64]);
 }
 
 /// What a [`SlotWait::poll`] found.

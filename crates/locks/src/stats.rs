@@ -68,8 +68,16 @@ impl WaitHistogram {
     /// Records one wait of `elapsed` (saturated to `u64` nanoseconds).
     #[inline]
     pub fn record(&self, elapsed: Duration) {
+        Self::record_in(&self.buckets[..], elapsed);
+    }
+
+    /// Records one wait of `elapsed` into a bucket array that lives outside
+    /// a `WaitHistogram` — the words of a sleep-slot book, which may sit in
+    /// shared memory.  `buckets` must hold [`WAIT_HISTOGRAM_BUCKETS`] words.
+    #[inline]
+    pub fn record_in(buckets: &[AtomicU64], elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[wait_bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        buckets[wait_bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The inclusive `[lower, upper]` nanosecond range of bucket `idx`.
@@ -95,11 +103,7 @@ impl WaitHistogram {
 
     /// A point-in-time copy of every bucket.
     pub fn snapshot(&self) -> WaitSnapshot {
-        let mut buckets = vec![0u64; WAIT_HISTOGRAM_BUCKETS];
-        for (out, bucket) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *out = bucket.load(Ordering::Relaxed);
-        }
-        WaitSnapshot { buckets }
+        WaitSnapshot::of_buckets(&self.buckets[..])
     }
 
     /// Resets every bucket to zero.
@@ -125,6 +129,22 @@ impl Default for WaitSnapshot {
 }
 
 impl WaitSnapshot {
+    /// A point-in-time copy of a bucket array written by
+    /// [`WaitHistogram::record_in`] (bucket-wise relaxed loads, like
+    /// [`WaitHistogram::snapshot`]).
+    pub fn of_buckets(buckets: &[AtomicU64]) -> WaitSnapshot {
+        assert_eq!(buckets.len(), WAIT_HISTOGRAM_BUCKETS, "wait histogram size");
+        WaitSnapshot {
+            buckets: buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+        }
+    }
+
+    /// The raw bucket counts, in bucket order (their sum is
+    /// [`WaitSnapshot::count`]).
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
+    }
+
     /// Total number of recorded waits.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

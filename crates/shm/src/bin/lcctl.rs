@@ -16,7 +16,7 @@
 //! exit non-zero if the command is rejected or no controller consumes it.
 
 use lc_core::POLICY_SPECS;
-use lc_shm::{layout, ShmSegment, ShmSlotBuffer};
+use lc_shm::{layout, ShmPlane, ShmSegment};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -54,9 +54,9 @@ fn usage(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn attach(path: &str) -> Result<ShmSlotBuffer, ExitCode> {
+fn attach(path: &str) -> Result<ShmPlane, ExitCode> {
     match ShmSegment::open(Path::new(path)) {
-        Ok(seg) => Ok(ShmSlotBuffer::new(Arc::new(seg))),
+        Ok(seg) => Ok(ShmPlane::new(Arc::new(seg))),
         Err(e) => {
             eprintln!("lcctl: cannot attach {path}: {e}");
             Err(ExitCode::FAILURE)
@@ -86,7 +86,13 @@ fn post(seg_path: &str, spec: &str) -> ExitCode {
         Ok(b) => b,
         Err(code) => return code,
     };
-    let seq = buffer.post_command(spec);
+    let seq = match buffer.post_command(spec) {
+        Ok(seq) => seq,
+        Err(e) => {
+            eprintln!("lcctl: cannot post '{spec}': {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let deadline = Instant::now() + ACK_TIMEOUT;
     loop {
         let (_, ack, err) = buffer.command_state();
@@ -115,20 +121,16 @@ fn stat(seg_path: &str) -> ExitCode {
     let g = buffer.geometry();
     let stats = buffer.stats();
 
-    let members: Vec<usize> = (0..g.max_members)
+    let members = (0..g.max_members)
         .filter(|&m| buffer.member_lease(m) != 0)
-        .collect();
-    let runnable: u64 = members.iter().map(|&m| buffer.member_runnable(m)).sum();
+        .count();
     let sleeper_cells = (0..g.max_sleepers)
         .filter(|&c| buffer.sleeper_lease(c) != 0)
         .count();
 
     println!(
         "segment(shards={}, shard_capacity={}, members={}, sleeper_cells={})",
-        g.shards,
-        g.shard_capacity,
-        members.len(),
-        sleeper_cells
+        g.shards, g.shard_capacity, members, sleeper_cells
     );
     let applied = buffer.applied_spec();
     println!(
@@ -143,14 +145,13 @@ fn stat(seg_path: &str) -> ExitCode {
         "books(s={}, w={}, t={}, sleeping={})",
         stats.ever_slept, stats.woken_and_left, stats.total_target, stats.sleeping
     );
-    for shard in 0..g.shards {
-        let snap = &buffer.shard_snapshots()[shard];
+    for (shard, snap) in buffer.book().shard_snapshots().iter().enumerate() {
         println!(
             "shard{}(s={}, sleeping={}, t={}, races={})",
             shard, snap.ever_slept, snap.sleepers, snap.target, snap.claim_races
         );
     }
-    let wait = ShmSlotBuffer::observe(&buffer.wait_buckets());
+    let wait = buffer.book().wait_snapshot().observation();
     println!(
         "wait(count={}, p50_ns={}, p99_ns={}, max_ns={})",
         wait.count, wait.p50_ns, wait.p99_ns, wait.max_ns
@@ -168,7 +169,7 @@ fn stat(seg_path: &str) -> ExitCode {
     );
     println!(
         "fleet(runnable={}, reclaimed_slots={}, reclaimed_members={}, draining={})",
-        runnable,
+        buffer.fleet_runnable(),
         seg.u64_at(layout::OFF_RECLAIMED_SLOTS)
             .load(Ordering::Acquire),
         seg.u64_at(layout::OFF_RECLAIMED_MEMBERS)
@@ -180,9 +181,9 @@ fn stat(seg_path: &str) -> ExitCode {
 
 // ---- crash-injection harness modes ---------------------------------------
 
-/// Attaches, claims a slot directly (no target gating — the test wants a
-/// parked claim, not a policy decision), reports it on stdout, and parks
-/// until killed.
+/// Attaches, claims a slot directly (no policy decision — the harness has
+/// published a non-zero target), reports it on stdout, and parks until
+/// killed.
 fn test_worker(seg_path: &str) -> ExitCode {
     use lc_core::{RealClock, SlotWait, TimeSource, WaitPoll};
     let buffer = match attach(seg_path) {
@@ -199,8 +200,7 @@ fn test_worker(seg_path: &str) -> ExitCode {
         eprintln!("lcctl: sleeper table full");
         return ExitCode::FAILURE;
     };
-    let shard = buffer.home_shard(cell);
-    let Some(slot) = buffer.try_claim(shard, cell) else {
+    let Some(slot) = buffer.claim(cell) else {
         eprintln!("lcctl: no free slot");
         return ExitCode::FAILURE;
     };

@@ -14,7 +14,7 @@
 //! stable-key-order JSON document; running the bin twice must produce
 //! byte-identical bytes (CI enforces this).
 
-use lc_shm::{Geometry, PidLiveness, ShmController, ShmSegment, ShmSlotBuffer};
+use lc_shm::{Geometry, PidLiveness, ShmController, ShmPlane, ShmSegment};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -54,7 +54,7 @@ fn main() {
         })
         .expect("anonymous segment (requires Linux)"),
     );
-    let buffer = ShmSlotBuffer::new(seg);
+    let buffer = ShmPlane::new(seg);
     let liveness = ScriptedLiveness::default();
     let mut controller = ShmController::new(buffer.clone(), CAPACITY)
         .with_pid(999)
@@ -63,13 +63,11 @@ fn main() {
 
     // Fleet: members with fake pids 1000..1004, each publishing a static
     // runnable count; one sim-thread per (worker, thread) pair.
-    let mut members = Vec::new();
     let mut threads = Vec::new();
     for w in 0..WORKERS {
         let pid = 1000 + w as u32;
         let member = buffer.register_member(pid).expect("member slot");
         buffer.set_member_runnable(member, THREADS_PER_WORKER);
-        members.push((pid, member));
         for _ in 0..THREADS_PER_WORKER {
             let cell = buffer.register_sleeper(pid).expect("sleeper cell");
             threads.push(SimThread {
@@ -97,28 +95,23 @@ fn main() {
         for t in threads.iter_mut() {
             if let Some(slot) = t.slot {
                 if !buffer.still_claimed(slot, t.cell) {
-                    buffer.record_wait(Duration::from_micros(50 + cycle as u64));
+                    buffer
+                        .book()
+                        .record_wait(Duration::from_micros(50 + cycle as u64));
                     buffer.leave(slot, t.cell);
                     buffer.member_runnable_add(t.member, 1);
                     t.slot = None;
                 }
-            } else {
-                let shard = buffer.home_shard(t.cell);
-                if buffer.should_sleep(shard) {
-                    if let Some(slot) = buffer.try_claim(shard, t.cell) {
-                        buffer.member_runnable_add(t.member, -1);
-                        t.slot = Some(slot);
-                    }
+            } else if buffer.has_space_for(t.cell) {
+                if let Some(slot) = buffer.claim(t.cell) {
+                    buffer.member_runnable_add(t.member, -1);
+                    t.slot = Some(slot);
                 }
             }
         }
 
         let stats = buffer.stats();
-        let runnable: u64 = members
-            .iter()
-            .filter(|(_, m)| buffer.member_lease(*m) != 0)
-            .map(|(_, m)| buffer.member_runnable(*m))
-            .sum();
+        let runnable = buffer.fleet_runnable();
         timeline.push(format!(
             "{{\"cycle\": {}, \"s\": {}, \"w\": {}, \"sleeping\": {}, \"target\": {}, \
              \"runnable\": {}, \"reclaimed_slots\": {}}}",

@@ -1,26 +1,29 @@
-//! The fleet controller: election, sampling, policy drive, reclamation,
-//! and the `lcctl` command intake.
+//! The fleet controller: election, sampling, reclamation, and the
+//! `lcctl` command intake around the shared decision step.
 //!
 //! Exactly one controller runs per segment.  Election is a CAS on the
 //! header's controller lease (`pid << 32 | generation`); every candidate
 //! that finds the lease held probes the holder's pid through the same
 //! `/proc` seam reclamation uses and takes over when the holder died —
 //! so a SIGKILLed controller is replaced by the next candidate's cycle,
-//! not by an operator.
+//! not by an operator.  The lease is also what keeps target publication
+//! to one process at a time.
 //!
-//! The elected controller's [`ShmController::run_cycle`] is the shared-
-//! memory twin of the in-process controller daemon: sample fleet load
-//! (runnable counts published by members + live sleepers), feed the
-//! unmodified [`ControlPolicy`] / [`TargetSplitter`] stack, publish
-//! per-shard targets, futex-wake the excess — plus the two duties only a
-//! cross-process plane needs: sweep claims and member entries owned by
-//! dead pids back into the books, and consume `lcctl` commands from the
-//! segment mailbox.
+//! The elected controller's [`ShmController::run_cycle`] does the duties
+//! only a cross-process plane has — consume `lcctl` commands, sweep the
+//! claims and member entries of dead pids back into the books, sum the
+//! members' runnable counts — and then hands that fleet load sample to
+//! [`lc_core::decide_and_publish`], the same policy → split → publish →
+//! wake step the in-process controller runs.
 
-use crate::buffer::ShmSlotBuffer;
+use crate::plane::{check_spec_fits, ShmPlane};
 use crate::sys;
 use lc_core::policy::{build_policy_spec, build_splitter_spec};
-use lc_core::{ControlPolicy, ControllerStats, ParsedSpec, PolicyInputs, TargetSplitter};
+use lc_core::{
+    decide_and_publish, ControlPolicy, ControllerStats, CycleInput, ParsedSpec, SpecError,
+    TargetSplitter,
+};
+use lc_locks::stats::WaitSnapshot;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,7 +75,7 @@ impl PidLiveness for ProcLiveness {
 /// The per-segment controller (candidate until elected).
 #[derive(Debug)]
 pub struct ShmController {
-    buffer: ShmSlotBuffer,
+    buffer: ShmPlane,
     policy: Box<dyn ControlPolicy>,
     splitter: Box<dyn TargetSplitter>,
     liveness: Box<dyn PidLiveness>,
@@ -82,14 +85,25 @@ pub struct ShmController {
     pid: u32,
     lease: u64,
     manual_target: Option<u64>,
-    last_hist: Vec<u64>,
-    last_runnable: usize,
+    last_wait: WaitSnapshot,
+}
+
+/// Builds a policy by spec, refusing one whose canonical spec would not fit
+/// the segment's applied-spec area (it could not be reported back).
+fn build_publishable_policy(spec: &str) -> Result<Box<dyn ControlPolicy>, SpecError> {
+    let policy = build_policy_spec(spec)?;
+    let canonical = policy.spec().to_string();
+    check_spec_fits(&canonical).map_err(|e| SpecError::Parse {
+        input: canonical,
+        reason: e.to_string(),
+    })?;
+    Ok(policy)
 }
 
 impl ShmController {
     /// A candidate controller over `buffer`, driving the paper policy and
     /// even splitter for a machine with `capacity` hardware contexts.
-    pub fn new(buffer: ShmSlotBuffer, capacity: usize) -> Self {
+    pub fn new(buffer: ShmPlane, capacity: usize) -> Self {
         ShmController {
             buffer,
             policy: build_policy_spec("paper").expect("paper policy is registered"),
@@ -101,19 +115,19 @@ impl ShmController {
             pid: std::process::id(),
             lease: 0,
             manual_target: None,
-            last_hist: Vec::new(),
-            last_runnable: 0,
+            last_wait: WaitSnapshot::default(),
         }
     }
 
-    /// Replaces the decision policy by spec string.
-    pub fn with_policy_spec(mut self, spec: &str) -> Result<Self, lc_core::SpecError> {
-        self.policy = build_policy_spec(spec)?;
+    /// Replaces the decision policy by spec string.  A spec whose canonical
+    /// form is longer than [`layout::SPEC_MAX_BYTES`] is refused.
+    pub fn with_policy_spec(mut self, spec: &str) -> Result<Self, SpecError> {
+        self.policy = build_publishable_policy(spec)?;
         Ok(self)
     }
 
     /// Replaces the target splitter by spec string.
-    pub fn with_splitter_spec(mut self, spec: &str) -> Result<Self, lc_core::SpecError> {
+    pub fn with_splitter_spec(mut self, spec: &str) -> Result<Self, SpecError> {
         self.splitter = build_splitter_spec(spec)?;
         Ok(self)
     }
@@ -143,8 +157,8 @@ impl ShmController {
         self
     }
 
-    /// The shared buffer this controller drives.
-    pub fn buffer(&self) -> &ShmSlotBuffer {
+    /// The segment handle this controller drives.
+    pub fn buffer(&self) -> &ShmPlane {
         &self.buffer
     }
 
@@ -189,10 +203,12 @@ impl ShmController {
                 .fetch_add(1, Ordering::AcqRel);
         }
         // Publish what we are actually running, so `lcctl stat` answers
-        // from the segment even before the first command arrives.
+        // from the segment even before the first command arrives.  The
+        // spec fits: every policy this controller holds was checked.
         self.buffer
-            .set_applied_spec(&self.policy.spec().to_string());
-        self.last_hist = self.buffer.wait_buckets();
+            .set_applied_spec(&self.policy.spec().to_string())
+            .expect("policy specs are checked to fit");
+        self.last_wait = self.buffer.book().wait_snapshot();
         true
     }
 
@@ -223,91 +239,81 @@ impl ShmController {
         // *this* cycle's target, not the next one's.
         self.consume_command();
 
-        // Reclamation sweep: slots, then members.  Slot → cell → lease →
-        // pid; a dead pid's claim is left exactly as if the sleeper had
-        // woken and left (W advances once), so S − W can never strand.
+        // Reclamation sweep: sleeper cells, then members.  A dead pid's
+        // claim is ended exactly as if the sleeper had left (W advances
+        // once), so S − W can never strand; the cell's claim word finds it
+        // even when a later claim overwrote its slot.  Each pid is probed
+        // once per sweep: a process's cells and member entry share it.
         let g = self.buffer.geometry();
-        for slot in 0..g.total_slots() {
-            let Some(cell) = self.buffer.slot_owner(slot) else {
-                continue;
+        let mut probed: Vec<(u32, bool)> = Vec::new();
+        let mut dead = |lease: u64| {
+            if lease == 0 {
+                return false;
+            }
+            let pid = lease_pid(lease);
+            let alive = match probed.iter().find(|(p, _)| *p == pid) {
+                Some(&(_, alive)) => alive,
+                None => {
+                    let alive = self.liveness.alive(pid);
+                    probed.push((pid, alive));
+                    alive
+                }
             };
-            let lease = self.buffer.sleeper_lease(cell);
-            if lease == 0 || !self.liveness.alive(lease_pid(lease)) {
-                self.buffer.reclaim_slot(slot, cell);
+            !alive
+        };
+        for cell in 0..g.max_sleepers {
+            if dead(self.buffer.sleeper_lease(cell)) {
+                self.buffer.reclaim_cell(cell);
             }
         }
         for member in 0..g.max_members {
-            let lease = self.buffer.member_lease(member);
-            if lease != 0 && !self.liveness.alive(lease_pid(lease)) {
+            if dead(self.buffer.member_lease(member)) {
                 self.buffer.reclaim_member(member);
             }
         }
 
-        // Fleet-wide sample: runnable threads published by live members
-        // plus everyone currently parked in the segment.
-        let runnable: u64 = (0..g.max_members)
-            .filter(|&m| self.buffer.member_lease(m) != 0)
-            .map(|m| self.buffer.member_runnable(m))
-            .sum();
+        // Fleet-wide sample: runnable threads published by live members.
+        let runnable = self.buffer.fleet_runnable();
         seg.u64_at(layout::OFF_FLEET_RUNNABLE)
             .store(runnable, Ordering::Release);
-        let stats = self.buffer.stats();
-        let load = (runnable + stats.sleeping) as usize;
-
-        // Wait-histogram delta window since the previous cycle.
-        let hist = self.buffer.wait_buckets();
-        let delta: Vec<u64> = hist
-            .iter()
-            .zip(self.last_hist.iter().chain(std::iter::repeat(&0)))
-            .map(|(now, then)| now.saturating_sub(*then))
-            .collect();
-        let wait = ShmSlotBuffer::observe(&delta);
-        self.last_hist = hist;
-
         let cycles = seg
             .u64_at(layout::OFF_CYCLES)
             .fetch_add(1, Ordering::AcqRel);
-        let target = if self.buffer.draining() {
-            0
-        } else if let Some(manual) = self.manual_target {
-            manual
+        let book = self.buffer.book();
+        // A drain or an operator's `target(value=N)` holds the target
+        // outside the policy: publish it directly, as in-process
+        // `set_sleep_target` does.  Re-publishing every cycle wakes any
+        // sleeper that claimed against the previous value.
+        let held = if self.buffer.draining() {
+            Some(0)
         } else {
-            let inputs = PolicyInputs {
-                load,
+            self.manual_target
+        };
+        if let Some(target) = held {
+            book.set_target(target);
+            self.last_wait = book.wait_snapshot();
+            return true;
+        }
+        let books = book.stats();
+        decide_and_publish(
+            book,
+            self.policy.as_mut(),
+            self.splitter.as_mut(),
+            &mut self.last_wait,
+            CycleInput {
+                runnable: runnable as usize,
                 capacity: self.capacity,
                 headroom: self.headroom,
-                current_target: self.buffer.total_target(),
                 interval: self.interval,
                 stats: ControllerStats {
                     cycles,
-                    last_runnable: self.last_runnable,
-                    last_target: self.buffer.total_target(),
-                    controller_wakes: stats.controller_wakes,
-                    woken_and_left: stats.woken_and_left,
+                    last_runnable: runnable as usize,
+                    last_target: books.target,
+                    controller_wakes: books.controller_wakes,
+                    woken_and_left: books.woken_and_left,
                 },
-                wait,
-            };
-            self.policy.target(&inputs)
-        };
-        self.last_runnable = runnable as usize;
-
-        // Split, publish, and wake whatever each shard no longer wants.
-        let snapshots = self.buffer.shard_snapshots();
-        let shares = self
-            .splitter
-            .split(target, &snapshots, g.shard_capacity as u64);
-        let mut published = 0u64;
-        for (shard, &share) in shares.iter().enumerate().take(g.shards) {
-            self.buffer.set_shard_target(shard, share);
-            published += share;
-            let excess = self.buffer.shard_sleepers(shard).saturating_sub(share);
-            for _ in 0..excess {
-                if !self.buffer.wake_one(shard) {
-                    break;
-                }
-            }
-        }
-        self.buffer.set_total_target(published);
+            },
+        );
         true
     }
 
@@ -339,19 +345,20 @@ impl ShmController {
             "target" => match spec.param::<u64>("value") {
                 Ok(Some(v)) => {
                     self.manual_target = Some(v);
-                    self.buffer.set_applied_spec(&format!("target(value={v})"));
-                    true
+                    self.buffer
+                        .set_applied_spec(&format!("target(value={v})"))
+                        .is_ok()
                 }
                 _ => false,
             },
             // Anything else is a policy spec in the shared registry.
-            _ => match build_policy_spec(text) {
+            _ => match build_publishable_policy(text) {
                 Ok(policy) => {
                     self.policy = policy;
                     self.manual_target = None;
                     self.buffer
-                        .set_applied_spec(&self.policy.spec().to_string());
-                    true
+                        .set_applied_spec(&self.policy.spec().to_string())
+                        .is_ok()
                 }
                 Err(_) => false,
             },

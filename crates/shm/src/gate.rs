@@ -4,15 +4,17 @@
 //! through [`ShmSession::attach`], and gives each of its worker threads a
 //! [`ShmGate`].  The gate is the cross-process twin of
 //! [`lc_core::LoadGate`]: threads call [`ShmGate::maybe_sleep`] from their
-//! spin loops; when the shard's `S − W` is below its published target the
-//! gate claims a slot and parks the thread on its sleeper cell's futex
-//! word, driving the *same* [`SlotWait`] state machine the in-process gate
-//! and the `lc-des` simulator use — only the blocking primitive differs
-//! (`futex(FUTEX_WAIT_BITSET)` on shared memory instead of a `Parker`).
+//! spin loops; when the book has room for them (`S − W < T` on the home
+//! shard, its neighbour, or any shard while the fleet target is non-zero)
+//! the gate claims a slot and parks the thread on its sleeper cell's futex
+//! word, driving the *same* book and [`SlotWait`] state machine the
+//! in-process gate and the `lc-des` simulator use — only the blocking
+//! primitive differs (`futex(FUTEX_WAIT_BITSET)` on shared memory instead
+//! of a `Parker`).
 
-use crate::buffer::ShmSlotBuffer;
+use crate::plane::{sleeper_id, ShmPlane};
 use crate::segment::ShmSegment;
-use lc_core::{SlotWait, TimeSource, WaitOutcome, WaitPoll};
+use lc_core::{SlotWait, TimeSource, WaitPoll};
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,22 +22,22 @@ use std::time::Duration;
 /// One worker process's membership in a segment.
 #[derive(Debug)]
 pub struct ShmSession {
-    buffer: ShmSlotBuffer,
+    buffer: ShmPlane,
     member: usize,
 }
 
 impl ShmSession {
     /// Registers this process in the segment's member table.
     pub fn attach(seg: Arc<ShmSegment>) -> io::Result<ShmSession> {
-        let buffer = ShmSlotBuffer::new(seg);
+        let buffer = ShmPlane::new(seg);
         let member = buffer
             .register_member(std::process::id())
             .ok_or_else(|| io::Error::new(io::ErrorKind::OutOfMemory, "member table full"))?;
         Ok(ShmSession { buffer, member })
     }
 
-    /// The shared slot buffer.
-    pub fn buffer(&self) -> &ShmSlotBuffer {
+    /// This process's handle on the segment.
+    pub fn buffer(&self) -> &ShmPlane {
         &self.buffer
     }
 
@@ -79,7 +81,7 @@ impl Drop for ShmSession {
 /// A worker thread's park point into the shared segment.
 #[derive(Debug)]
 pub struct ShmGate {
-    buffer: ShmSlotBuffer,
+    buffer: ShmPlane,
     member: usize,
     cell: usize,
     time: Arc<dyn TimeSource>,
@@ -94,26 +96,27 @@ impl ShmGate {
 
     /// This gate's home shard.
     pub fn shard(&self) -> usize {
-        self.buffer.home_shard(self.cell)
+        self.buffer.book().home_shard(sleeper_id(self.cell))
     }
 
-    /// Checks the home shard's books and, if more sleepers are wanted,
-    /// claims a slot and parks until the controller clears it, the
-    /// timeout expires, or the claim is otherwise released.
+    /// Checks the book and, if more sleepers are wanted, claims a slot and
+    /// parks until the controller clears it, the timeout expires, or the
+    /// claim is otherwise released.
     ///
     /// Returns `true` if a full sleep episode ran, `false` if no sleep
-    /// was needed (or no slot was free).  Call this from a spin loop's
-    /// back-off point, like `LoadGate::check`.
+    /// was needed (or the claim was lost).  Call this from a spin loop's
+    /// back-off point, like `LoadGate::check`.  A draining segment needs no
+    /// check of its own: the controller applies `drain` by publishing a
+    /// zero target, which closes every shard.
     pub fn maybe_sleep(&self) -> bool {
-        let shard = self.shard();
-        if !self.buffer.should_sleep(shard) {
+        if !self.buffer.has_space_for(self.cell) {
             return false;
         }
         // Drop any permit left over from a previous episode (a late
         // controller wake that raced our leave) *before* the claim is
         // published — same audit as the in-process Parker drain.
         self.buffer.drain_cell_permit(self.cell);
-        let Some(slot) = self.buffer.try_claim(shard, self.cell) else {
+        let Some(slot) = self.buffer.claim(self.cell) else {
             return false;
         };
         // While parked we are not runnable; keep the member's fleet-load
@@ -121,17 +124,8 @@ impl ShmGate {
         self.buffer.member_runnable_add(self.member, -1);
         let wait =
             SlotWait::begin_keyed(slot, self.cell as u64, self.time.now(), self.sleep_timeout);
-        let _outcome: WaitOutcome;
-        loop {
-            match wait.poll(&self.buffer, self.time.now()) {
-                WaitPoll::Done(outcome) => {
-                    _outcome = outcome;
-                    break;
-                }
-                WaitPoll::Keep(remaining) => {
-                    self.buffer.park_cell(self.cell, remaining);
-                }
-            }
+        while let WaitPoll::Keep(remaining) = wait.poll(&self.buffer, self.time.now()) {
+            self.buffer.park_cell(self.cell, remaining);
         }
         wait.finish(&self.buffer, self.time.now());
         self.buffer.member_runnable_add(self.member, 1);
@@ -145,8 +139,8 @@ impl Drop for ShmGate {
     }
 }
 
-/// Convenience: create a segment-backed buffer directly (controller-side
-/// tools attach without becoming members).
-pub fn attach_buffer(seg: Arc<ShmSegment>) -> ShmSlotBuffer {
-    ShmSlotBuffer::new(seg)
+/// Convenience: a handle on a segment for controller-side tools, which
+/// attach without becoming members.
+pub fn attach_buffer(seg: Arc<ShmSegment>) -> ShmPlane {
+    ShmPlane::new(seg)
 }

@@ -7,26 +7,33 @@
 //!
 //! ```text
 //! offset 0      header          (4 KiB: magic, version, geometry, leases,
-//!                                books totals, command mailbox, histogram)
+//!                                counters, drain flag, command mailbox)
 //! MEMBERS_OFF   member table    (64 B × max_members: pid+gen lease,
 //!                                runnable count, heartbeat)
 //! SLEEPERS_OFF  sleeper cells   (64 B × max_sleepers: pid+gen lease,
-//!                                futex word)
-//! SHARDS_OFF    shard books     (192 B × shards: S | W,wakes,races,
-//!                                reclaimed | T — one cache line each)
-//! SLOTS_OFF     slot ring       (16 B × shards × shard_capacity:
-//!                                owner word, claim stamp)
+//!                                futex word, outstanding claim)
+//! BOOK_OFF      S/W/T book      (lc_core::BookLayout words, 128-B aligned:
+//!                                active mask, total target, exemptions,
+//!                                wait histogram, per-shard S | W | T |
+//!                                counters, slot rings, claim stamps)
 //! ```
+//!
+//! The book is the in-process [`lc_core::SleepSlotBuffer`]'s own word
+//! layout: this crate only decides where it starts.
 //!
 //! The header is versioned: [`MAGIC`] identifies the file as a segment at
 //! all, [`VERSION`] gates layout compatibility, and attach refuses both
 //! mismatches loudly rather than interpreting foreign bytes.
 
+use lc_core::BookLayout;
+
 /// Identifies a file as a load-control segment ("LCSHMSEG" in ASCII).
 pub const MAGIC: u64 = 0x4c43_5348_4d53_4547;
 
-/// Layout revision; bump on any offset or field change.
-pub const VERSION: u64 = 1;
+/// Layout revision; bump on any offset or field change.  Version 2 moved
+/// the S/W/T books, slot ring and wait histogram into the shared
+/// [`BookLayout`] and gave sleeper cells a claim word.
+pub const VERSION: u64 = 2;
 
 /// Fixed size of the header block.
 pub const HEADER_BYTES: usize = 4096;
@@ -38,12 +45,9 @@ pub const MEMBER_BYTES: usize = 64;
 /// on neighboring cells never false-share).
 pub const SLEEPER_BYTES: usize = 64;
 
-/// Bytes per shard book group (three cache lines: S alone, the W/counter
-/// line, T alone — the same S/W/T isolation the in-process buffer uses).
-pub const SHARD_BYTES: usize = 192;
-
-/// Bytes per slot (owner word + claim stamp).
-pub const SLOT_BYTES: usize = 16;
+/// Alignment of the book region: the word groups the book's layout keeps
+/// `S`, `W` and `T` apart with (128 bytes).
+pub const BOOK_ALIGN: usize = lc_core::slots::LINE_WORDS * 8;
 
 // ---- header field offsets (all u64 unless noted) -------------------------
 
@@ -59,8 +63,6 @@ pub const OFF_SHARD_CAPACITY: usize = 24;
 pub const OFF_MAX_MEMBERS: usize = 32;
 /// Sleeper-cell table length.
 pub const OFF_MAX_SLEEPERS: usize = 40;
-/// Fleet-wide sleep target last published by the controller.
-pub const OFF_TOTAL_TARGET: usize = 48;
 /// Controller lease: `pid << 32 | generation`, 0 when vacant.
 pub const OFF_CONTROLLER_LEASE: usize = 56;
 /// Controller heartbeat: cycle counter bumped every controller cycle.
@@ -73,9 +75,10 @@ pub const OFF_CMD_SEQ: usize = 80;
 pub const OFF_CMD_ACK: usize = 88;
 /// Result of the last consumed command: 0 = applied, 1 = rejected.
 pub const OFF_CMD_ERR: usize = 96;
-/// Drain flag: non-zero forbids new claims and wakes every sleeper.
+/// Drain flag: non-zero holds the fleet target at 0 (no claims, every
+/// sleeper woken) until cleared.
 pub const OFF_DRAIN: usize = 104;
-/// Slots swept back from dead pids.
+/// Claims swept back from dead pids.
 pub const OFF_RECLAIMED_SLOTS: usize = 112;
 /// Member entries swept back from dead pids.
 pub const OFF_RECLAIMED_MEMBERS: usize = 120;
@@ -86,23 +89,21 @@ pub const OFF_CYCLES: usize = 136;
 /// Fleet runnable-thread count as of the last controller sample.
 pub const OFF_FLEET_RUNNABLE: usize = 144;
 
-/// Wait histogram: 64 power-of-two buckets (bucket `i` counts episodes with
-/// `ns < 2^(i+1)`), preceded by nothing — count is the bucket sum.
-pub const OFF_WAIT_HIST: usize = 256;
-/// Number of histogram buckets.
-pub const WAIT_HIST_BUCKETS: usize = 64;
-
 /// Command spec area: u64 length followed by UTF-8 `lc-spec` text.
 pub const OFF_CMD_SPEC: usize = 1024;
 /// Capacity of each spec area, including the length word.
 pub const SPEC_AREA_BYTES: usize = 256;
+/// Longest spec, in bytes, a spec area holds.
+pub const SPEC_MAX_BYTES: usize = SPEC_AREA_BYTES - 8;
 /// Applied-spec area: canonical policy spec the controller last installed.
 pub const OFF_APPLIED_SPEC: usize = 1536;
+
+const _: () = assert!(OFF_APPLIED_SPEC + SPEC_AREA_BYTES <= HEADER_BYTES);
 
 /// Fixed geometry of one segment, decided at creation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
-    /// Number of shards in the slot ring.
+    /// Number of shards in the slot ring (a non-zero power of two).
     pub shards: usize,
     /// Slots per shard.
     pub shard_capacity: usize,
@@ -121,6 +122,15 @@ impl Geometry {
         max_sleepers: 512,
     };
 
+    /// Whether a segment can be built with this geometry: a power-of-two
+    /// shard count and non-empty rings and tables.
+    pub fn is_valid(&self) -> bool {
+        self.shards.is_power_of_two()
+            && self.shard_capacity > 0
+            && self.max_members > 0
+            && self.max_sleepers > 0
+    }
+
     /// Byte offset of the member table.
     pub fn members_off(&self) -> usize {
         HEADER_BYTES
@@ -131,25 +141,20 @@ impl Geometry {
         self.members_off() + self.max_members * MEMBER_BYTES
     }
 
-    /// Byte offset of the shard books.
-    pub fn shards_off(&self) -> usize {
-        self.sleepers_off() + self.max_sleepers * SLEEPER_BYTES
+    /// Byte offset of the S/W/T book.
+    pub fn book_off(&self) -> usize {
+        (self.sleepers_off() + self.max_sleepers * SLEEPER_BYTES).next_multiple_of(BOOK_ALIGN)
     }
 
-    /// Byte offset of the slot ring.
-    pub fn slots_off(&self) -> usize {
-        self.shards_off() + self.shards * SHARD_BYTES
-    }
-
-    /// Total slots in the ring.
-    pub fn total_slots(&self) -> usize {
-        self.shards * self.shard_capacity
+    /// The book's word layout.
+    pub fn book_layout(&self) -> BookLayout {
+        BookLayout::new(self.shards, self.shard_capacity)
     }
 
     /// Total segment size, rounded up to whole pages.
     pub fn segment_bytes(&self) -> usize {
-        let raw = self.slots_off() + self.total_slots() * SLOT_BYTES;
-        (raw + 4095) & !4095
+        let raw = self.book_off() + self.book_layout().words() * 8;
+        raw.next_multiple_of(4096)
     }
 }
 
@@ -166,26 +171,8 @@ pub const MEMBER_HEARTBEAT: usize = 16;
 pub const SLEEPER_LEASE: usize = 0;
 /// Futex word (u32): 0 = no permit, 1 = permit posted.
 pub const SLEEPER_FUTEX: usize = 8;
-
-// Shard book field offsets (relative to the book base).
-/// `S`: cumulative successful claims (ever slept).
-pub const SHARD_EVER_SLEPT: usize = 0;
-/// `W`: cumulative completed sleep episodes (woken and left).
-pub const SHARD_WOKEN: usize = 64;
-/// Sleepers woken early by the controller.
-pub const SHARD_CONTROLLER_WAKES: usize = 72;
-/// Lost claim CASes.
-pub const SHARD_CLAIM_RACES: usize = 80;
-/// Slots reclaimed from dead pids in this shard.
-pub const SHARD_RECLAIMED: usize = 88;
-/// `T`: the shard's published sleep target.
-pub const SHARD_TARGET: usize = 128;
-
-// Slot field offsets (relative to the slot base).
-/// Owner word: sleeper-cell index + 1, or 0 when free.
-pub const SLOT_OWNER: usize = 0;
-/// Claim stamp: segment generation at claim time (diagnostic).
-pub const SLOT_STAMP: usize = 8;
+/// The cell's outstanding claim: global slot index + 1, 0 when none.
+pub const SLEEPER_CLAIM: usize = 16;
 
 /// Packs a pid + generation into a lease word.
 pub fn lease(pid: u32, generation: u32) -> u64 {

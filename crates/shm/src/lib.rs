@@ -8,23 +8,33 @@
 //! plane into a shared-memory segment so **one** elected controller
 //! governs sleepers it did not spawn:
 //!
+//! There is **one** S/W/T book in this workspace: [`lc_core::SleepSlotBuffer`].
+//! It lays its words out in one [`lc_core::BookLayout`] over a flat word
+//! store — a heap allocation in process, the mapped segment here — and wakes
+//! the sleepers it clears through one seam ([`lc_core::SleeperWake`]): the
+//! `Parker` table in process, a futex word per sleeper cell here.  This
+//! crate keeps only what crossing processes adds:
+//!
 //! * [`ShmSegment`] — a `memfd`/file-backed mapping with a versioned
 //!   header.  Everything inside is an index or an atomic word; no
 //!   pointers, so the bytes mean the same thing in every address space.
-//! * [`ShmSlotBuffer`] — the sharded slot ring and S/W/T books, keeping
-//!   the in-process buffer's invariants (claim by CAS, `leave` exactly
-//!   once per claim, W-before-S reads).
-//! * [`ShmGate`] — the worker-thread park point.  It drives the *same*
-//!   [`lc_core::SlotWait`] state machine as the in-process `LoadGate`
-//!   and the `lc-des` simulator, through the [`lc_core::SlotHost`] seam;
-//!   only the blocking primitive differs (`futex(FUTEX_WAIT_BITSET)` on
-//!   a sleeper cell in the segment instead of a `Parker`).
-//! * [`ShmController`] — pid-lease election with takeover on death, the
-//!   unmodified [`lc_core::ControlPolicy`] / [`lc_core::TargetSplitter`]
-//!   stack over fleet-wide sampled load, and crash-robust reclamation:
-//!   every claim carries a pid+generation lease, and the cycle sweeps
-//!   claims owned by dead pids back into the books, so a SIGKILLed
-//!   worker never strands `S − W` above target.
+//! * [`ShmPlane`] — one process's handle on a segment: the book as a
+//!   `SleepSlotBuffer` over the segment's words, plus the member table,
+//!   sleeper cells (pid+generation lease, futex word, recorded claim),
+//!   reclamation of dead pids' claims, and the command mailbox.
+//! * [`ShmGate`] — the worker-thread park point.  It claims through the
+//!   book and drives the *same* [`lc_core::SlotWait`] state machine as the
+//!   in-process `LoadGate` and the `lc-des` simulator, through the
+//!   [`lc_core::SlotHost`] seam; only the blocking primitive differs
+//!   (`futex(FUTEX_WAIT_BITSET)` on a sleeper cell in the segment instead
+//!   of a `Parker`).
+//! * [`ShmController`] — pid-lease election with takeover on death,
+//!   `lcctl` command intake, and crash-robust reclamation: every sleeper
+//!   cell carries a pid+generation lease and records its outstanding
+//!   claim, and the cycle ends the claims of dead pids, so a SIGKILLed
+//!   worker never strands `S − W` above target.  The decision itself is
+//!   [`lc_core::decide_and_publish`], the in-process controller's own
+//!   policy → split → publish → wake step, fed the fleet's load sample.
 //! * `lcctl` (binary) — attaches to a segment and speaks the `lc-spec`
 //!   grammar as its wire format: `lcctl stat <seg>`,
 //!   `lcctl set <seg> policy 'pid(kp=0.9)'`, `lcctl set <seg> target N`,
@@ -37,15 +47,15 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod buffer;
 pub mod controller;
 pub mod gate;
 pub mod layout;
+pub mod plane;
 pub mod segment;
 pub mod sys;
 
-pub use buffer::{ShmBufferStats, ShmSlotBuffer};
 pub use controller::{PidLiveness, ProcLiveness, ShmControlDaemon, ShmController};
 pub use gate::{attach_buffer, ShmGate, ShmSession};
 pub use layout::Geometry;
+pub use plane::{ShmBufferStats, ShmPlane};
 pub use segment::ShmSegment;

@@ -49,6 +49,7 @@ impl ShmSegment {
     /// fleet launcher and attached by everyone else; silently reformatting
     /// a live segment would strand its sleepers.
     pub fn create(path: &Path, geometry: Geometry) -> io::Result<ShmSegment> {
+        check_geometry(geometry)?;
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -67,6 +68,7 @@ impl ShmSegment {
     /// Creates an anonymous (`memfd`) segment visible only through this
     /// mapping — the zero-cleanup backing for tests and the bench.
     pub fn create_anon(geometry: Geometry) -> io::Result<ShmSegment> {
+        check_geometry(geometry)?;
         let file = sys::memfd_create("lc-shm-segment")?;
         file.set_len(geometry.segment_bytes() as u64)?;
         let seg = ShmSegment {
@@ -95,8 +97,13 @@ impl ShmSegment {
         if probe.u64_at(layout::OFF_MAGIC).load(Ordering::Acquire) != layout::MAGIC {
             return Err(invalid("not a load-control segment (bad magic)"));
         }
-        if probe.u64_at(layout::OFF_VERSION).load(Ordering::Acquire) != layout::VERSION {
-            return Err(invalid("segment layout version mismatch"));
+        let version = probe.u64_at(layout::OFF_VERSION).load(Ordering::Acquire);
+        if version != layout::VERSION {
+            return Err(invalid(&format!(
+                "segment layout version {version} is not supported \
+                 (this build reads version {})",
+                layout::VERSION
+            )));
         }
         let geometry = Geometry {
             shards: probe.u64_at(layout::OFF_SHARDS).load(Ordering::Acquire) as usize,
@@ -111,7 +118,7 @@ impl ShmSegment {
                 .load(Ordering::Acquire) as usize,
         };
         drop(probe);
-        if geometry.shards == 0 || file_len < geometry.segment_bytes() {
+        if !geometry.is_valid() || file_len < geometry.segment_bytes() {
             return Err(invalid("segment header declares impossible geometry"));
         }
         Ok(ShmSegment {
@@ -138,6 +145,8 @@ impl ShmSegment {
             .store(g.max_sleepers as u64, Ordering::Relaxed);
         self.u64_at(layout::OFF_GENERATION)
             .store(1, Ordering::Relaxed);
+        let book = g.book_layout();
+        book.format(self.u64_slice(g.book_off(), book.words()), g.shards);
         self.u64_at(layout::OFF_MAGIC)
             .store(layout::MAGIC, Ordering::Release);
     }
@@ -170,6 +179,37 @@ impl ShmSegment {
         );
         // SAFETY: as `u64_at`, with 4-byte alignment.
         unsafe { &*(self.ptr.add(off) as *const AtomicU32) }
+    }
+
+    /// The `len` consecutive `AtomicU64`s starting at byte offset `off`.
+    pub fn u64_slice(&self, off: usize, len: usize) -> &[AtomicU64] {
+        assert!(
+            off.is_multiple_of(8) && off + len * 8 <= self.len,
+            "bad u64 range {off}+{len}"
+        );
+        // SAFETY: in-bounds and 8-aligned, as `u64_at`, for every word.
+        unsafe { std::slice::from_raw_parts(self.ptr.add(off) as *const AtomicU64, len) }
+    }
+
+    /// Field `field` (a `layout::MEMBER_*` offset) of member entry `member`.
+    pub fn member_word(&self, member: usize, field: usize) -> &AtomicU64 {
+        assert!(member < self.geometry.max_members, "bad member {member}");
+        self.u64_at(self.geometry.members_off() + member * layout::MEMBER_BYTES + field)
+    }
+
+    /// Field `field` (`layout::SLEEPER_LEASE` or `layout::SLEEPER_CLAIM`)
+    /// of sleeper cell `cell`.
+    pub fn sleeper_word(&self, cell: usize, field: usize) -> &AtomicU64 {
+        assert!(cell < self.geometry.max_sleepers, "bad sleeper cell {cell}");
+        self.u64_at(self.geometry.sleepers_off() + cell * layout::SLEEPER_BYTES + field)
+    }
+
+    /// The futex word of sleeper cell `cell`.
+    pub fn sleeper_futex(&self, cell: usize) -> &AtomicU32 {
+        assert!(cell < self.geometry.max_sleepers, "bad sleeper cell {cell}");
+        self.u32_at(
+            self.geometry.sleepers_off() + cell * layout::SLEEPER_BYTES + layout::SLEEPER_FUTEX,
+        )
     }
 
     /// Copies `len` bytes starting at `off` out of the segment.
@@ -210,6 +250,17 @@ impl Drop for ShmSegment {
         // SAFETY: `ptr`/`len` describe the one mapping this struct owns,
         // and Drop is the last use of it.
         unsafe { sys::unmap(self.ptr, self.len) };
+    }
+}
+
+fn check_geometry(geometry: Geometry) -> io::Result<()> {
+    if geometry.is_valid() {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("impossible segment geometry {geometry:?}"),
+        ))
     }
 }
 

@@ -3,15 +3,19 @@
 //! with a claimed slot must be swept back into `S − W` by the controller's
 //! reclamation cycle, and a controller that dies holding the lease must be
 //! replaced by takeover — both exercised here against real child
-//! processes and the real `/proc` probe.
+//! processes and the real `/proc` probe.  A scripted death (an injected
+//! liveness table) covers the claim no slot names any more: a sleeper
+//! evicted by a claim that wrapped onto its slot.
 #![cfg(target_os = "linux")]
 
-use lc_shm::{layout, Geometry, ShmController, ShmSegment, ShmSlotBuffer};
+use lc_core::{ClaimOutcome, SleeperId};
+use lc_shm::{layout, Geometry, PidLiveness, ShmController, ShmPlane, ShmSegment};
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn temp_segment(name: &str) -> PathBuf {
@@ -28,10 +32,12 @@ fn lcctl() -> Command {
 fn sigkilled_parked_worker_never_strands_the_books() {
     let path = temp_segment("crash");
     let seg = Arc::new(ShmSegment::create(&path, Geometry::DEFAULT).expect("create segment"));
-    let buffer = ShmSlotBuffer::new(Arc::clone(&seg));
+    let buffer = ShmPlane::new(Arc::clone(&seg));
 
-    // A real child process attaches, claims a slot, parks on its futex,
-    // and reports the claim on stdout.
+    // A real child process attaches, claims a slot (the target published
+    // here admits one sleeper), parks on its futex, and reports the claim
+    // on stdout.
+    buffer.book().set_target(1);
     let mut child = lcctl()
         .args(["__test-worker", path.to_str().unwrap()])
         .stdout(Stdio::piped())
@@ -43,12 +49,16 @@ fn sigkilled_parked_worker_never_strands_the_books() {
         .expect("worker reported")
         .expect("readable stdout");
     assert!(line.starts_with("parked slot="), "unexpected: {line}");
-    let slot: usize = line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("slot="))
-        .unwrap()
-        .parse()
-        .unwrap();
+    let field = |key: &str| -> usize {
+        line.split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key))
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+            .parse()
+            .unwrap()
+    };
+    let slot = field("slot=");
+    let cell = field("cell=");
+    assert!(buffer.still_claimed(slot, cell), "worker's slot not held");
     let stats = buffer.stats();
     assert_eq!(stats.sleeping, 1, "worker's claim not visible");
     assert_eq!(stats.ever_slept, 1);
@@ -71,28 +81,127 @@ fn sigkilled_parked_worker_never_strands_the_books() {
         "dead worker's member entry not swept"
     );
 
-    // The reclaimed slot is reusable: claiming the whole shard reaches it.
-    let cell = buffer.register_sleeper(std::process::id()).expect("cell");
-    let shard = slot / buffer.geometry().shard_capacity;
-    let mut claimed = Vec::new();
-    while let Some(s) = buffer.try_claim(shard, cell) {
-        claimed.push(s);
-    }
+    // Reclamation emptied the dead worker's slot itself: no occupied slot
+    // remains for a later wake scan to spend a wake (and a futex post) on,
+    // and the cycle's own publication did not have to clear it.
+    let book = buffer.book();
+    let g = buffer.geometry();
+    assert!(!buffer.still_claimed(slot, cell), "dead worker's slot kept");
+    assert_eq!(
+        stats.controller_wakes, 0,
+        "slot cleared by a wake, not reclaim"
+    );
+    assert_eq!(
+        book.wake(g.shards * g.shard_capacity),
+        0,
+        "an occupied slot survived reclamation"
+    );
+
+    // The reclaimed slot is reusable: the ring's next lap over the shard
+    // claims every slot, the reclaimed one included.
+    book.set_target((g.shards * g.shard_capacity) as u64);
+    let id =
+        SleeperId::from_index(buffer.register_sleeper(std::process::id()).expect("cell") as u64);
+    let shard = slot / g.shard_capacity;
+    let claimed: Vec<usize> = (0..g.shard_capacity)
+        .map(|_| {
+            let head = book.begin_claim_at(shard).expect("shard has room");
+            match book.commit_claim_at(shard, id, head) {
+                ClaimOutcome::Claimed(idx) => idx,
+                other => panic!("uncontended claim failed: {other:?}"),
+            }
+        })
+        .collect();
     assert!(
         claimed.contains(&slot),
         "reclaimed slot {slot} not claimable again (got {claimed:?})"
     );
     for s in claimed {
-        buffer.leave(s, cell);
+        book.leave(s, id);
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// Liveness table a test edits to "kill" pids.
+#[derive(Debug, Clone, Default)]
+struct ScriptedLiveness {
+    dead: Arc<Mutex<HashSet<u32>>>,
+}
+
+impl PidLiveness for ScriptedLiveness {
+    fn alive(&self, pid: u32) -> bool {
+        !self.dead.lock().unwrap().contains(&pid)
+    }
+}
+
+#[test]
+fn evicted_sleeper_of_a_dead_pid_is_reclaimed_through_its_cell() {
+    const DOOMED: u32 = 7001;
+    const LIVE: u32 = 7002;
+    let seg = ShmSegment::create_anon(Geometry {
+        shards: 1,
+        shard_capacity: 4,
+        max_members: 4,
+        max_sleepers: 8,
+    })
+    .expect("anonymous segment");
+    let plane = ShmPlane::new(Arc::new(seg));
+    plane.book().set_target(4);
+
+    // Four claims fill the ring; the last three leave; a fifth claim wraps
+    // onto slot 0, still held by the first sleeper, and evicts it.
+    let doomed = plane.register_sleeper(DOOMED).expect("cell");
+    let live: Vec<usize> = (0..4)
+        .map(|_| plane.register_sleeper(LIVE).expect("cell"))
+        .collect();
+    let first = plane.claim(doomed).expect("claim");
+    for &cell in &live[..3] {
+        let slot = plane.claim(cell).expect("claim");
+        plane.leave(slot, cell);
+    }
+    let lap = plane.claim(live[3]).expect("wrap-around claim");
+    assert_eq!(
+        lap, first,
+        "the head wrapped onto the parked sleeper's slot"
+    );
+    assert!(!plane.still_claimed(first, doomed), "sleeper not evicted");
+    assert_eq!(
+        plane.sleeper_claim(doomed),
+        Some(first),
+        "cell lost the claim"
+    );
+    assert_eq!(plane.stats().sleeping, 2, "S - W must count both claims");
+
+    // The evicted sleeper's process dies before it notices; one cycle
+    // finds its claim through the cell, though no slot names it.
+    let liveness = ScriptedLiveness::default();
+    liveness.dead.lock().unwrap().insert(DOOMED);
+    let mut controller = ShmController::new(plane.clone(), 4)
+        .with_pid(LIVE)
+        .with_liveness(Box::new(liveness));
+    assert!(controller.run_cycle());
+    assert_eq!(plane.stats().reclaimed_slots, 1);
+    assert_eq!(plane.sleeper_lease(doomed), 0, "dead cell not released");
+    assert_eq!(plane.sleeper_claim(doomed), None);
+    // Reclaiming the same cell again ends nothing: the claim word was
+    // taken before W moved, so W advanced exactly once.
+    let after = plane.stats();
+    plane.reclaim_cell(doomed);
+    assert_eq!(plane.stats(), after, "a second reclaim counted a departure");
+
+    // The live sleeper leaves; the books balance at quiesce.
+    plane.leave(lap, live[3]);
+    let stats = plane.stats();
+    assert_eq!(stats.ever_slept, 5);
+    assert_eq!(stats.ever_slept, stats.woken_and_left, "S != W at quiesce");
+    assert_eq!(stats.sleeping, 0);
 }
 
 #[test]
 fn dead_controller_lease_is_taken_over() {
     let path = temp_segment("takeover");
     let seg = Arc::new(ShmSegment::create(&path, Geometry::DEFAULT).expect("create segment"));
-    let buffer = ShmSlotBuffer::new(Arc::clone(&seg));
+    let buffer = ShmPlane::new(Arc::clone(&seg));
 
     // A child process wins the election and heartbeats.
     let mut child = lcctl()
@@ -138,7 +247,7 @@ fn live_controller_lease_is_respected() {
     // holder whose pid is alive (this process).
     let path = temp_segment("respect");
     let seg = Arc::new(ShmSegment::create(&path, Geometry::DEFAULT).expect("create segment"));
-    let buffer = ShmSlotBuffer::new(Arc::clone(&seg));
+    let buffer = ShmPlane::new(Arc::clone(&seg));
 
     let mut holder = ShmController::new(buffer.clone(), 2);
     assert!(holder.run_cycle());

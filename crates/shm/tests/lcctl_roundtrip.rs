@@ -3,7 +3,7 @@
 //! wire format in both directions), and rejected specs must fail loudly.
 #![cfg(target_os = "linux")]
 
-use lc_shm::{Geometry, ShmControlDaemon, ShmController, ShmSegment, ShmSlotBuffer};
+use lc_shm::{layout, Geometry, ShmControlDaemon, ShmController, ShmPlane, ShmSegment};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn lcctl(args: &[&str]) -> std::process::Output {
 fn set_round_trips_through_stat() {
     let path = temp_segment("roundtrip");
     let seg = Arc::new(ShmSegment::create(&path, Geometry::DEFAULT).expect("create segment"));
-    let buffer = ShmSlotBuffer::new(Arc::clone(&seg));
+    let buffer = ShmPlane::new(Arc::clone(&seg));
     let daemon = ShmControlDaemon::start(
         ShmController::new(buffer.clone(), 2).with_interval(Duration::from_millis(2)),
     );
@@ -49,7 +49,7 @@ fn set_round_trips_through_stat() {
     let out = lcctl(&["set", seg_path, "target", "3"]);
     assert!(out.status.success());
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while buffer.total_target() != 3 {
+    while buffer.book().target() != 3 {
         assert!(
             std::time::Instant::now() < deadline,
             "target never published"
@@ -73,7 +73,7 @@ fn set_round_trips_through_stat() {
     assert!(!out.status.success(), "bogus spec accepted");
     // …and a syntactically valid but unknown command is rejected by the
     // controller through the mailbox ack.
-    assert!(buffer.post_command("blorp(x=2)") > 0);
+    assert!(buffer.post_command("blorp(x=2)").expect("short spec fits") > 0);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let (seq, ack, err) = buffer.command_state();
@@ -116,4 +116,55 @@ fn stat_and_set_without_controller_fail_cleanly() {
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&bogus);
+}
+
+#[test]
+fn a_spec_too_long_for_the_mailbox_is_refused_whole() {
+    let path = temp_segment("longspec");
+    let seg = Arc::new(ShmSegment::create(&path, Geometry::DEFAULT).expect("create segment"));
+    let buffer = ShmPlane::new(Arc::clone(&seg));
+    let daemon = ShmControlDaemon::start(
+        ShmController::new(buffer.clone(), 2).with_interval(Duration::from_millis(2)),
+    );
+    let seg_path = path.to_str().unwrap();
+
+    // A valid policy spec longer than the spec area: `lcctl set` fails
+    // with the reason and posts nothing (the sequence word never moves).
+    let long = format!("pid(kp=0.9{})", "0".repeat(300));
+    assert!(long.len() > layout::SPEC_MAX_BYTES);
+    let out = lcctl(&["set", seg_path, "policy", &long]);
+    assert!(!out.status.success(), "over-long spec reported success");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("at most {}", layout::SPEC_MAX_BYTES)),
+        "no clear reason in: {stderr}"
+    );
+    assert_eq!(buffer.command_state().0, 0, "a cut spec was posted");
+    assert!(buffer.post_command(&long).is_err());
+
+    // A long spec that fits is applied and reported canonically.
+    let fits = format!("pid(kp=0.9{})", "0".repeat(200));
+    assert!(fits.len() <= layout::SPEC_MAX_BYTES);
+    let out = lcctl(&["set", seg_path, "policy", &fits]);
+    assert!(
+        out.status.success(),
+        "fitting spec failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stat = String::from_utf8(lcctl(&["stat", seg_path]).stdout).unwrap();
+    assert!(stat.contains("policy=pid(kp=0.9)"), "stat:\n{stat}");
+    daemon.stop();
+
+    // The applied-spec area refuses rather than cutting inside a UTF-8
+    // sequence (which used to read back as an empty spec).
+    let edge = "é".repeat(layout::SPEC_MAX_BYTES / 2);
+    buffer.set_applied_spec(&edge).expect("fits exactly");
+    assert_eq!(buffer.applied_spec(), edge);
+    assert!(buffer.set_applied_spec(&format!("{edge}é")).is_err());
+    assert_eq!(
+        buffer.applied_spec(),
+        edge,
+        "a refused spec overwrote the area"
+    );
+    let _ = std::fs::remove_file(&path);
 }

@@ -92,7 +92,7 @@ fn main() {
     let _ = std::fs::remove_file(&seg_path);
 
     let seg = Arc::new(ShmSegment::create(&seg_path, Geometry::DEFAULT).expect("create segment"));
-    let buffer = lc_shm::ShmSlotBuffer::new(Arc::clone(&seg));
+    let buffer = lc_shm::ShmPlane::new(Arc::clone(&seg));
     let daemon = with_controller.then(|| {
         ShmControlDaemon::start(
             ShmController::new(buffer.clone(), capacity).with_interval(Duration::from_millis(5)),
