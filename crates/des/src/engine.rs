@@ -38,10 +38,19 @@
 //! seed explores a different interleaving.  [`Perturb`] adds optional
 //! scheduling jitter and critical-section preemption injection on top.
 //!
+//! The pending events sit in a calendar queue (`crate::calendar`): time
+//! buckets of `at >> shift`, at most 2^16 of them over the horizon, each
+//! sorted once when it becomes current.  It pops in exactly the
+//! `(at, tie, seq)` order a binary min-heap would.  The tie is drawn once
+//! per pushed event, in push order, and an event past the horizon is
+//! dropped before its draw; reports depend on both, and on nothing about
+//! the queue's layout.
+//!
 //! Workers observe a changed target at the next controller tick (claims are
 //! matched in a deterministic batch after each cycle), which corresponds to
 //! a real spinner noticing the target within one spin-hook check period.
 
+use crate::calendar::{CalendarQueue, Event, EventKind};
 use crate::discipline::WaiterDiscipline;
 use crate::metrics::{convergence_cycle, CycleRow, RunReport};
 use crate::workload::{Arrivals, Dist, WorkloadSpec};
@@ -52,8 +61,7 @@ use lc_core::{
 };
 use lc_locks::Parker;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Wake, Waker};
@@ -227,42 +235,6 @@ struct Worker {
     completed: u32,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// One controller cycle: `run_cycle`, drain wakes, match claims.
-    ControllerTick,
-    /// A worker finished thinking and requests the lock.
-    StartWork(u32),
-    /// The lock holder finishes its critical section.
-    Release(u32),
-    /// A parked worker's sleep timeout expires (worker, epoch).
-    ParkTimeout(u32, u32),
-    /// Open-loop arrival: activate the next idle worker.
-    Arrival,
-    /// Workload phase shift (index into `WorkloadSpec::phases`).
-    PhaseShift(usize),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Event {
-    at: u64,
-    tie: u64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.tie, self.seq).cmp(&(other.at, other.tie, other.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// The discrete-event engine.  Build with [`Engine::new`], run with
 /// [`Engine::run`].
 pub struct Engine {
@@ -278,7 +250,7 @@ pub struct Engine {
     /// non-empty under [`WaiterDiscipline::Combining`]); they complete with
     /// the combiner's release and cannot be parked meanwhile.
     combined: Vec<u32>,
-    heap: BinaryHeap<Reverse<Event>>,
+    queue: CalendarQueue,
     rng: StdRng,
     seq: u64,
     events: u64,
@@ -294,7 +266,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("config", &self.config)
             .field("events", &self.events)
-            .field("queued", &self.heap.len())
+            .field("queued", &self.queue.len())
             .finish()
     }
 }
@@ -303,7 +275,17 @@ impl Engine {
     /// Builds the engine: constructs the real control plane from the spec
     /// strings, registers every worker as a sleeper in the real buffer, and
     /// seeds the initial event population.
+    ///
+    /// A configuration the engine cannot run — no workers, or a zero
+    /// controller tick (which would reschedule itself at the same instant
+    /// forever) — is a [`SpecError::Config`].
     pub fn new(config: DesConfig) -> Result<Self, SpecError> {
+        if config.workers == 0 {
+            return Err(config_error("workers must be at least 1"));
+        }
+        if config.tick.is_zero() {
+            return Err(config_error("the controller tick must be positive"));
+        }
         let clock = Arc::new(VirtualClock::new());
         let runnable = Arc::new(AtomicUsize::new(0));
         let mut lc_config = LoadControlConfig::for_capacity(config.capacity)
@@ -357,7 +339,7 @@ impl Engine {
             lock_queue: VecDeque::new(),
             holder: None,
             combined: Vec::new(),
-            heap: BinaryHeap::with_capacity(config.workers + 16),
+            queue: CalendarQueue::new(ns(config.horizon)),
             seq: 0,
             events: 0,
             completed_total: 0,
@@ -410,32 +392,24 @@ impl Engine {
     }
 
     fn push_event(&mut self, at: u64, kind: EventKind) {
-        // Events past the horizon are never popped (the run loop stops
-        // there), so keeping them out of the heap is free — at megascale it
-        // skips ~1M dead `ParkTimeout` insertions per run.
+        // Events past the horizon would never fire, so they are dropped
+        // before the tie draw — at megascale that skips ~1M dead
+        // `ParkTimeout` insertions per run, and the queue only ever holds
+        // timestamps it has buckets for.
         if at > ns(self.config.horizon) {
             return;
         }
         let tie = self.rng.random_range(0..=u64::MAX);
         self.seq += 1;
-        self.heap.push(Reverse(Event {
-            at,
-            tie,
-            seq: self.seq,
-            kind,
-        }));
+        self.queue.push(Event::new(at, tie, self.seq, kind));
     }
 
     /// Runs to the horizon and reports.
     pub fn run(mut self) -> RunReport {
-        let horizon = ns(self.config.horizon);
-        while let Some(Reverse(event)) = self.heap.pop() {
-            if event.at > horizon {
-                break;
-            }
+        while let Some(event) = self.queue.pop() {
             self.clock.set(Duration::from_nanos(event.at));
             self.events += 1;
-            match event.kind {
+            match event.kind() {
                 EventKind::ControllerTick => self.on_tick(),
                 EventKind::StartWork(w) => self.on_start_work(w),
                 EventKind::Release(w) => self.on_release(w),
@@ -735,6 +709,13 @@ pub fn run(config: DesConfig) -> Result<RunReport, SpecError> {
     Ok(Engine::new(config)?.run())
 }
 
+fn config_error(reason: &str) -> SpecError {
+    SpecError::Config {
+        source: "DesConfig".to_string(),
+        reason: reason.to_string(),
+    }
+}
+
 #[inline]
 fn ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
@@ -890,6 +871,22 @@ mod tests {
         // The default order keeps the spec string unchanged.
         let baseline = run(small("paper", 11)).expect("valid spec");
         assert!(!baseline.spec.contains("wake_order="));
+    }
+
+    #[test]
+    fn zero_workers_is_a_config_error() {
+        let mut config = small("paper", 1);
+        config.workers = 0;
+        let err = Engine::new(config).expect_err("no workers must be rejected");
+        assert!(matches!(err, SpecError::Config { .. }), "{err}");
+    }
+
+    #[test]
+    fn zero_tick_is_a_config_error() {
+        let mut config = small("paper", 1);
+        config.tick = Duration::ZERO;
+        let err = Engine::new(config).expect_err("a zero tick must be rejected");
+        assert!(matches!(err, SpecError::Config { .. }), "{err}");
     }
 
     #[test]

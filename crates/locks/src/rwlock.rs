@@ -340,7 +340,12 @@ mod tests {
         });
         // While the writer churns through abort/retry cycles there are
         // windows with no announcement; a reader must eventually get in.
+        // Wait for the first announcement, so a reader can only get in
+        // through a window an abort opened.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rw.waiting_writers() == 0 && std::time::Instant::now() < deadline {
+            thread::yield_now();
+        }
         let mut got_read = false;
         while std::time::Instant::now() < deadline {
             if rw.try_read() {
