@@ -17,7 +17,7 @@ use crate::policy::{
 use crate::slots::{even_split, SleepSlotBuffer};
 use crate::spec::{LoadControlSpec, SpecError};
 use crate::thread_ctx::{current_ctx, WorkerRegistration};
-use crate::time::{ParkOps, RealClock, ThreadPark, TimeSource};
+use crate::time::{ParkOps, RealClock, SleeperWake, ThreadPark, TimeSource};
 use crate::topology::{RegistrationShardMap, ShardMap, TOPOLOGY_SPECS};
 use lc_accounting::{LoadSampler, RegistryLoadSampler, ThreadRegistry, SAMPLER_SPECS};
 use lc_locks::stats::WaitSnapshot;
@@ -226,6 +226,7 @@ pub struct LoadControlBuilder {
     topology: Option<Arc<dyn ShardMap>>,
     time: Option<Arc<dyn TimeSource>>,
     park_ops: Option<Arc<dyn ParkOps>>,
+    sleeper_wake: Option<Box<dyn SleeperWake>>,
     start: bool,
 }
 
@@ -250,6 +251,7 @@ impl LoadControlBuilder {
             topology: None,
             time: None,
             park_ops: None,
+            sleeper_wake: None,
             start: false,
         }
     }
@@ -359,6 +361,24 @@ impl LoadControlBuilder {
         self
     }
 
+    /// Wakes the sleepers whose slots the controller clears through `wake`,
+    /// by the raw ids their claims carry, instead of through a table of
+    /// registered [`Parker`](lc_locks::Parker)s — the seam the `lc-shm`
+    /// fleet wakes its futex words through.  The `lc-des` simulator passes
+    /// one that queues each cleared id as a wake event, so its virtual
+    /// waiters need no parker.
+    ///
+    /// A control built this way has **no parker table**: its sleepers use
+    /// ids of the caller's choosing ([`crate::SleeperId::from_index`]), and
+    /// [`crate::SleepSlotBuffer::register_sleeper`] panics, as it does on a
+    /// buffer over a shared store.  So [`LoadGate`](crate::LoadGate),
+    /// [`AsyncLoadGate`](crate::AsyncLoadGate) and the `Lc*` sync types,
+    /// which register parkers, cannot run on it.
+    pub fn sleeper_wake(mut self, wake: Box<dyn SleeperWake>) -> Self {
+        self.sleeper_wake = Some(wake);
+        self
+    }
+
     /// Uses `park_ops` as the blocking primitive for waiter threads
     /// (default: [`ThreadPark`], which really blocks).
     pub fn park_ops(mut self, park_ops: Arc<dyn ParkOps>) -> Self {
@@ -407,15 +427,19 @@ impl LoadControlBuilder {
         let shard_map = self
             .topology
             .unwrap_or_else(|| Arc::new(RegistrationShardMap) as Arc<dyn ShardMap>);
+        let mut buffer = SleepSlotBuffer::with_layout(
+            self.config.max_sleepers,
+            self.config.shards,
+            physical,
+            shard_map,
+            self.config.claim_backoff,
+        )
+        .with_wake_order(self.config.wake_order);
+        if let Some(wake) = self.sleeper_wake {
+            buffer = buffer.with_sleeper_wake(wake);
+        }
         let shared = Arc::new(Shared {
-            buffer: SleepSlotBuffer::with_layout(
-                self.config.max_sleepers,
-                self.config.shards,
-                physical,
-                shard_map,
-                self.config.claim_backoff,
-            )
-            .with_wake_order(self.config.wake_order),
+            buffer,
             config: self.config,
             registry,
             sampler,
@@ -1346,5 +1370,56 @@ mod tests {
         assert_eq!(lc.sleep_target(), 5);
         assert_eq!(lc.buffer().shard_target(0), 3);
         assert_eq!(lc.buffer().shard_target(1), 2);
+    }
+
+    /// A [`SleeperWake`] that keeps every batch it is handed.
+    #[derive(Clone, Default)]
+    struct RecordingWake(Arc<Mutex<Vec<Vec<u64>>>>);
+
+    impl SleeperWake for RecordingWake {
+        fn wake(&self, ids: &[u64]) {
+            self.0.lock().unwrap().push(ids.to_vec());
+        }
+    }
+
+    fn id_woken_control(wake: &RecordingWake) -> Arc<LoadControl> {
+        LoadControl::builder(LoadControlConfig::for_capacity(4))
+            .policy(FixedPolicy::manual())
+            .sleeper_wake(Box::new(wake.clone()))
+            .build()
+    }
+
+    #[test]
+    fn sleeper_wake_control_delivers_cleared_ids_in_one_fifo_batch() {
+        let wake = RecordingWake::default();
+        let lc = id_woken_control(&wake);
+        // Ids are the caller's: any raw index, in any order.
+        let ids = [5u64, 2, 9, 7];
+        lc.set_sleep_target(ids.len() as u64);
+        for &id in &ids {
+            let claimed = lc.buffer().try_claim(crate::SleeperId::from_index(id));
+            assert!(
+                matches!(claimed, crate::ClaimOutcome::Claimed(_)),
+                "{claimed:?}"
+            );
+        }
+        assert!(wake.0.lock().unwrap().is_empty(), "claims must wake nobody");
+
+        // Shrinking to one clears the three excess slots in array order —
+        // the claim order — and hands them over as one batch.
+        assert_eq!(lc.set_sleep_target(1), 3);
+        assert_eq!(*wake.0.lock().unwrap(), vec![vec![5, 2, 9]]);
+
+        // Dropping the control wakes every sleeper still in a slot.
+        drop(lc);
+        assert_eq!(*wake.0.lock().unwrap(), vec![vec![5, 2, 9], vec![7]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SleeperWake")]
+    fn sleeper_wake_control_refuses_parker_registration() {
+        let lc = id_woken_control(&RecordingWake::default());
+        lc.buffer()
+            .register_sleeper(Arc::new(lc_locks::Parker::new()));
     }
 }

@@ -49,8 +49,9 @@
 //! `lc-shm` crate places the same layout in a shared-memory segment and
 //! builds the buffer over it with [`SleepSlotBuffer::over_store`], so a
 //! fleet of processes runs this very claim and wake code.  Waking is the
-//! one seam: the parker table in process, [`SleeperWake`] (futex words of
-//! sleeper cells) across processes.
+//! one seam: the parker table by default, or a [`SleeperWake`] that takes
+//! the cleared ids directly — futex words of sleeper cells across
+//! processes, the event loop's wake list in the `lc-des` simulator.
 //!
 //! ## Sharding
 //!
@@ -103,7 +104,7 @@ pub struct SleeperId(u64);
 
 impl SleeperId {
     /// The raw index of this sleeper: its slot in the buffer's parker table,
-    /// or the id a shared book's owner assigned.
+    /// or the id its owner assigned on a buffer that wakes by id.
     pub fn index(self) -> u64 {
         self.0
     }
@@ -111,8 +112,10 @@ impl SleeperId {
     /// An id with a chosen raw index.  In process, ids come from
     /// [`SleepSlotBuffer::register_sleeper`]; a buffer over a shared store
     /// ([`SleepSlotBuffer::over_store`]) is keyed by ids its owner hands out
-    /// (`lc-shm` uses sleeper-cell indices), and [`crate::time::SlotHost`]
-    /// rebuilds ids from the raw keys its episodes carry.
+    /// (`lc-shm` uses sleeper-cell indices), as is a control built with
+    /// [`crate::LoadControlBuilder::sleeper_wake`] (`lc-des` uses worker
+    /// indices), and [`crate::time::SlotHost`] rebuilds ids from the raw keys
+    /// its episodes carry.
     pub fn from_index(index: u64) -> Self {
         Self(index)
     }
@@ -438,8 +441,8 @@ unsafe impl WordStore for HeapWords {
 enum Wakeup {
     /// In process: registered parkers, indexed by [`SleeperId`].
     Parkers(Mutex<Vec<Arc<Parker>>>),
-    /// A book over a shared store: the store's owner wakes sleepers by raw
-    /// id (`lc-shm` posts to the futex word of a sleeper cell).
+    /// Sleepers woken by raw id through their owner's seam (`lc-shm` posts
+    /// to the futex word of a sleeper cell; `lc-des` queues a wake event).
     Remote(Box<dyn SleeperWake>),
 }
 
@@ -1041,6 +1044,15 @@ impl SleepSlotBuffer {
         self
     }
 
+    /// Returns `self` waking cleared sleepers through `waker`, by the raw
+    /// ids their claims carry, instead of through a parker table.  Its
+    /// sleepers take ids from their owner ([`SleeperId::from_index`]);
+    /// [`SleepSlotBuffer::register_sleeper`] panics on it.
+    pub(crate) fn with_sleeper_wake(mut self, waker: Box<dyn SleeperWake>) -> Self {
+        self.wakeup = Wakeup::Remote(waker);
+        self
+    }
+
     /// The wake-scan order this buffer was built with.
     pub fn wake_order(&self) -> WakeOrder {
         self.wake_order
@@ -1102,11 +1114,17 @@ impl SleepSlotBuffer {
     ///
     /// # Panics
     ///
-    /// Panics on a buffer built with [`SleepSlotBuffer::over_store`]: its
-    /// sleepers register with the store's owner.
+    /// Panics on a buffer that wakes sleepers by id through a
+    /// [`SleeperWake`] — one built with [`SleepSlotBuffer::over_store`], or
+    /// by a [`crate::LoadControlBuilder::sleeper_wake`] control: it has no
+    /// parker table, and its sleepers take ids from their owner.
     pub fn register_sleeper(&self, parker: Arc<Parker>) -> SleeperId {
         let Wakeup::Parkers(table) = &self.wakeup else {
-            panic!("sleepers of a shared book register with the book's owner");
+            panic!(
+                "this buffer wakes sleepers by id through a SleeperWake (a shared book or a \
+                 sleeper_wake control) and has no parker table: its sleepers take ids from \
+                 their owner"
+            );
         };
         let mut table = table.lock().unwrap();
         table.push(parker);

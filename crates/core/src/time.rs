@@ -158,10 +158,12 @@ impl SlotHost for SleepSlotBuffer {
 /// it cleared — the wake half of the seam [`SlotHost`] is the wait half of.
 ///
 /// In process the buffer unparks the [`Parker`]s registered through
-/// [`SleepSlotBuffer::register_sleeper`] and needs no implementation of
-/// this trait; a buffer over a shared store
+/// [`SleepSlotBuffer::register_sleeper`] by default and needs no
+/// implementation of this trait.  A buffer over a shared store
 /// ([`SleepSlotBuffer::over_store`]) hands its cleared ids to one (`lc-shm`
-/// posts to the futex word of each sleeper cell).
+/// posts to the futex word of each sleeper cell), and so does a control
+/// built with [`crate::LoadControlBuilder::sleeper_wake`] (`lc-des` queues
+/// each id as a wake event of its virtual waiter).
 pub trait SleeperWake: Send + Sync {
     /// Wakes the sleepers with these raw ids (slot value − 1), one batch per
     /// wake scan.

@@ -9,10 +9,12 @@
 //!   [`LoadControl::run_cycle`] at virtual controller ticks, reading time
 //!   from a [`VirtualClock`] through the `lc_core::time` seam;
 //! * the [`SleepSlotBuffer`](lc_core::SleepSlotBuffer) — simulated workers
-//!   are registered sleepers,
-//!   claim slots through `try_claim`, wait through [`SlotWait`] (the same
-//!   state machine `LoadGate::park` drives), and are woken by the
-//!   controller through their real [`Parker`]s;
+//!   are sleepers keyed by their worker index, claim slots through
+//!   `try_claim`, wait through [`SlotWait`] (the same state machine
+//!   `LoadGate::park` drives), and are woken by the buffer's real
+//!   clear-and-wake scan, which hands the cleared ids to the engine through
+//!   [`SleeperWake`] — the seam the `lc-shm` fleet wakes its futex words
+//!   through;
 //! * the [`ControlPolicy`](lc_core::ControlPolicy) /
 //!   [`TargetSplitter`](lc_core::TargetSplitter) implementations and the
 //!   spec grammar that selects them.
@@ -56,15 +58,13 @@ use crate::metrics::{convergence_cycle, CycleRow, RunReport};
 use crate::workload::{Arrivals, Dist, WorkloadSpec};
 use lc_accounting::{LoadSample, LoadSampler, ThreadRegistry};
 use lc_core::{
-    ClaimOutcome, LoadControl, LoadControlConfig, SleeperId, SlotWait, SpecError, TimeSource,
-    VirtualClock, WaitOutcome, WaitPoll, WakeOrder,
+    ClaimOutcome, LoadControl, LoadControlConfig, SleeperId, SleeperWake, SlotWait, SpecError,
+    TimeSource, VirtualClock, WaitOutcome, WaitPoll, WakeOrder,
 };
-use lc_locks::Parker;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Wake, Waker};
 use std::time::Duration;
 
 /// Randomized perturbation: scheduling jitter and preemption injection.
@@ -194,19 +194,27 @@ impl LoadSampler for DesSampler {
     }
 }
 
-/// The waker registered on each simulated worker's parker: a controller
-/// unpark pushes the worker id onto the engine's wake queue — the event-loop
-/// edge of the real wake path.
+/// The buffer's wake seam: each batch of worker ids whose slots the
+/// controller cleared is appended, in batch order, to the engine's wake
+/// queue — the event-loop edge of the real wake path.
 #[derive(Debug)]
-struct QueueWaker {
-    queue: Arc<Mutex<Vec<u32>>>,
-    id: u32,
+struct QueueWake(Arc<Mutex<Vec<u32>>>);
+
+impl SleeperWake for QueueWake {
+    fn wake(&self, ids: &[u64]) {
+        // Ids are worker indices, `u32` as in every event that names one.
+        self.0
+            .lock()
+            .unwrap()
+            .extend(ids.iter().map(|&id| id as u32));
+    }
 }
 
-impl Wake for QueueWaker {
-    fn wake(self: Arc<Self>) {
-        self.queue.lock().unwrap().push(self.id);
-    }
+/// The sleeper id of worker `id`: its index, so home shards (`id & mask`)
+/// follow registration order as they do for registered parkers.
+#[inline]
+fn sleeper(id: u32) -> SleeperId {
+    SleeperId::from_index(u64::from(id))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,9 +232,6 @@ enum WState {
 }
 
 struct Worker {
-    sleeper: SleeperId,
-    parker: Arc<Parker>,
-    waker: Waker,
     state: WState,
     /// Park-episode generation: a `ParkTimeout` event is valid only if its
     /// recorded epoch matches (stale timeouts from earlier episodes no-op).
@@ -273,8 +278,8 @@ impl std::fmt::Debug for Engine {
 
 impl Engine {
     /// Builds the engine: constructs the real control plane from the spec
-    /// strings, registers every worker as a sleeper in the real buffer, and
-    /// seeds the initial event population.
+    /// strings, with the buffer waking workers by id into the engine's wake
+    /// queue, and seeds the initial event population.
     ///
     /// A configuration the engine cannot run — no workers, or a zero
     /// controller tick (which would reschedule itself at the same instant
@@ -299,33 +304,24 @@ impl Engine {
             clock: Arc::clone(&clock),
             runnable: Arc::clone(&runnable),
         });
+        let wake_queue = Arc::new(Mutex::new(Vec::new()));
         let control = LoadControl::builder(lc_config)
             .policy_spec(&config.policy)?
             .splitter_spec(&config.splitter)?
             .topology_spec(&config.topology)?
             .time_source(Arc::clone(&clock) as Arc<dyn TimeSource>)
             .sampler(registry, sampler)
+            .sleeper_wake(Box::new(QueueWake(Arc::clone(&wake_queue))))
             .build();
 
-        let wake_queue = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::with_capacity(config.workers);
-        for id in 0..config.workers as u32 {
-            let parker = Arc::new(Parker::new());
-            let sleeper = control.buffer().register_sleeper(Arc::clone(&parker));
-            let waker = Waker::from(Arc::new(QueueWaker {
-                queue: Arc::clone(&wake_queue),
-                id,
-            }));
-            workers.push(Worker {
-                sleeper,
-                parker,
-                waker,
+        let workers = (0..config.workers)
+            .map(|_| Worker {
                 state: WState::Idle,
                 epoch: 0,
                 wait: None,
                 completed: 0,
-            });
-        }
+            })
+            .collect();
 
         let mut engine = Self {
             rng: StdRng::seed_from_u64(config.seed),
@@ -430,8 +426,8 @@ impl Engine {
     /// edges of the simulated waiters.
     fn on_tick(&mut self) {
         self.control.run_cycle();
-        // Wakes first: the cycle may have lowered targets and unparked
-        // sleepers through their real parkers.
+        // Wakes first: the cycle may have lowered targets and cleared
+        // sleepers' slots, queueing their ids.
         self.drain_wakes();
         // Claim matching: spinning workers observe the published target and
         // claim slots until the buffer reports no more space — the batched
@@ -444,21 +440,17 @@ impl Engine {
     fn match_claims(&mut self) {
         while let Some(&candidate) = self.lock_queue.back() {
             debug_assert_eq!(self.workers[candidate as usize].state, WState::Spinning);
-            let sleeper = self.workers[candidate as usize].sleeper;
-            match self.control.buffer().try_claim(sleeper) {
+            match self.control.buffer().try_claim(sleeper(candidate)) {
                 ClaimOutcome::Claimed(idx) => {
                     self.lock_queue.pop_back();
                     let now = self.clock.now();
                     let worker = &mut self.workers[candidate as usize];
                     worker.state = WState::Parked;
                     worker.epoch = worker.epoch.wrapping_add(1);
-                    let wait = SlotWait::begin(idx, worker.sleeper, now, self.config.sleep_timeout);
+                    let wait =
+                        SlotWait::begin(idx, sleeper(candidate), now, self.config.sleep_timeout);
                     let deadline = wait.deadline();
                     worker.wait = Some(wait);
-                    // Arm the real wake path: consume any stale permit, then
-                    // register our waker for the controller's next unpark.
-                    worker.parker.try_consume_permit();
-                    worker.parker.set_waker(&worker.waker);
                     let epoch = worker.epoch;
                     self.runnable.fetch_sub(1, Ordering::Relaxed);
                     let at = ns(deadline);
@@ -472,7 +464,7 @@ impl Engine {
         }
     }
 
-    /// Applies every pending controller unpark: poll the worker's real
+    /// Applies every pending controller wake: poll the worker's real
     /// `SlotWait` and let it leave if its slot was cleared.
     fn drain_wakes(&mut self) {
         loop {
@@ -485,7 +477,7 @@ impl Engine {
             }
             for id in pending {
                 if self.workers[id as usize].state != WState::Parked {
-                    continue; // stale unpark; permit drained at next claim
+                    continue; // stale wake: the worker already left its slot
                 }
                 let wait = self.workers[id as usize]
                     .wait
@@ -494,16 +486,11 @@ impl Engine {
                 match wait.poll(self.control.buffer(), self.clock.now()) {
                     WaitPoll::Done(_) => {
                         wait.finish(self.control.buffer(), self.clock.now());
-                        self.workers[id as usize].parker.try_consume_permit();
                         self.resume_spinning(id);
                     }
                     WaitPoll::Keep(_) => {
-                        // Spurious unpark: stay parked, re-arm the waker
-                        // (unpark consumed it).
-                        let worker = &mut self.workers[id as usize];
-                        worker.parker.try_consume_permit();
-                        worker.parker.set_waker(&worker.waker);
-                        worker.wait = Some(wait);
+                        // Spurious wake: the slot is still ours, stay parked.
+                        self.workers[id as usize].wait = Some(wait);
                     }
                 }
             }
@@ -524,7 +511,6 @@ impl Engine {
         match wait.poll(self.control.buffer(), self.clock.now()) {
             WaitPoll::Done(outcome) => {
                 wait.finish(self.control.buffer(), self.clock.now());
-                self.workers[id as usize].parker.try_consume_permit();
                 debug_assert!(matches!(
                     outcome,
                     WaitOutcome::TimedOut | WaitOutcome::Cleared
@@ -746,6 +732,26 @@ mod tests {
         );
         // Buffer accounting stayed balanced.
         assert_eq!(last.ever_slept - last.woken_and_left, last.sleepers);
+    }
+
+    #[test]
+    fn controller_wakes_reach_the_engine_by_id() {
+        // The latency policy shrinks its target often, so thousands of
+        // waiters leave through the controller's clear-and-wake scan rather
+        // than their timeouts.  Pinned counts: any change in how cleared ids
+        // reach the event loop (which, in what order, how often) moves them.
+        let report = run(small("latency(target_p99=20)", 1)).expect("valid spec");
+        assert_eq!(report.controller_wakes, 6645);
+        assert_eq!(report.timeout_wakes, 632);
+        assert_eq!(report.completed, 512);
+        for row in &report.trace {
+            assert!(row.controller_wakes <= row.woken_and_left, "{row:?}");
+            assert_eq!(row.ever_slept - row.woken_and_left, row.sleepers, "{row:?}");
+        }
+        for pair in report.trace.windows(2) {
+            assert!(pair[0].controller_wakes <= pair[1].controller_wakes);
+            assert!(pair[0].woken_and_left <= pair[1].woken_and_left);
+        }
     }
 
     #[test]

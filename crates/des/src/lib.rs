@@ -12,8 +12,9 @@
 //!   [`ControlPolicy`](lc_core::ControlPolicy) and
 //!   [`TargetSplitter`](lc_core::TargetSplitter) implementations selected by
 //!   the same `name(key=value)` spec strings as production,
-//! * the real wake path: controller wakes land on each simulated worker's
-//!   [`lc_locks::Parker`], observed through a registered [`std::task::Waker`].
+//! * the real wake path: the buffer's clear-and-wake scan delivers the
+//!   cleared worker ids to the engine through [`lc_core::SleeperWake`], the
+//!   seam the `lc-shm` fleet wakes its futex words through.
 //!
 //! Only the *workload* (arrivals, critical sections, the machine's
 //! capacity-sharing) is modelled; no policy or buffer logic is forked.  The
@@ -26,10 +27,12 @@
 //! * [`engine`] — the megascale simulator: build a [`engine::DesConfig`],
 //!   call [`engine::Engine::run`], get a [`metrics::RunReport`] (per-cycle
 //!   `S`/`W`/`T` trace, convergence, fairness, wake churn) that renders as
-//!   deterministic JSON.  The engine runs about 680k events/s (637k–767k
-//!   over ten runs) on one core of a 2-CPU x86-64 host, so a 1M-worker,
-//!   2M-event run takes about 3 s; the same seed is bit-identical across
-//!   runs.  Its event queue is a calendar queue of 32-byte events (see the
+//!   deterministic JSON.  The engine runs about 1.3M events/s (1.06M–1.76M
+//!   over 30 runs, seeds 1, 7 and 23) on one core of a 2-CPU x86-64 host,
+//!   so a 1M-worker, 2M-event run takes about 1.5 s and peaks at
+//!   155–190 MB of resident memory; the same seed is bit-identical across
+//!   runs.  Its event queue is a calendar queue of 32-byte events, and a
+//!   virtual worker is its index plus a few words of state (see the
 //!   `engine` docs).
 //! * [`fuzz`] — the interleaving fuzzer: random schedules of
 //!   claim/wake/retarget/cancel/advance actions against the real buffer and

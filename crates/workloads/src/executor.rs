@@ -370,12 +370,15 @@ mod tests {
     fn thread_hook_runs_once_per_worker() {
         let started = Arc::new(AtomicU64::new(0));
         let hook_counter = Arc::clone(&started);
-        let pool = MiniPool::with_thread_hook(3, move |_| {
+        let mut pool = MiniPool::with_thread_hook(3, move |_| {
             hook_counter.fetch_add(1, Ordering::SeqCst);
             Box::new(())
         });
         pool.spawn(async {});
         pool.wait_idle();
+        // One worker can finish the task before the others have started:
+        // only after `shutdown` has joined every worker has each hook run.
+        pool.shutdown();
         assert_eq!(started.load(Ordering::SeqCst), 3);
     }
 
